@@ -133,6 +133,52 @@ class Test3DFreeProblem:
         assert res.iterations == 0
 
 
+def _radial_free():
+    rg = RadialGrid(1024, 20.0)
+    V0 = RadialField(rg, np.zeros(rg.m))
+    return minimize_radial(V0, SolveOptions(max_iters=500, tolerance_residual=1e-6))
+
+
+def _radial_well_R6():
+    rg = RadialGrid(1024, 20.0)
+    Vr = PotentialSpec(kind="annular", R=6.0).build_radial(rg)
+    return minimize_radial(Vr, FAST, seed_field=flat_seed(rg))
+
+
+def _box_free():
+    g = Grid3D(32, 16.0)
+    V = Field3D(g, np.zeros(g.shape))
+    seed = SeedSpec(kind="radial_gaussian", sigma=2.0)
+    return minimize(V, SolveOptions(max_iters=40, tolerance_residual=1e-4, seed=seed))
+
+
+def _box_well_R8():
+    g = Grid3D(32, 40.0)
+    V = PotentialSpec(kind="annular", R=8.0).build(g)
+    seed = translate_seed(solve_free().psi, 8.0, g)
+    return minimize(V, SolveOptions(max_iters=2000, tolerance_residual=1e-5), seed_field=seed)
+
+
+# final energy and number of recorded energies (seed + accepted steps) of
+# four quick solves; a change to the descent loop or the discrete
+# functionals that keeps the floating-point operations must keep these
+GOLDEN = {
+    "radial_free": (_radial_free, -0.10851474971705685, 20),
+    "radial_well_R6": (_radial_well_R6, -1.0233246409243308, 57),
+    "box_free": (_box_free, -0.1265620667657174, 28),
+    "box_well_R8": (_box_well_R8, -1.0730413333943603, 82),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_solves(case):
+    solve, energy, n_history = GOLDEN[case]
+    res = solve()
+    assert res.converged
+    assert res.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0)
+    assert len(res.history) == n_history
+
+
 class TestLiftedConsistency:
     def test_radial_minimizer_lifted_to_3d(self, free_radial):
         g = Grid3D(64, 32.0)

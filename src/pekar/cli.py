@@ -133,7 +133,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> tuple:
         )
         converged.extend(r.full_converged and r.rad_converged for r in rows)
         cols = [
-            "R", "e_full", "e_rad", "trial_bound", "gap", "well_mass", "anisotropy",
+            "R", "e_full", "e_rad", "trial_bound", "gap", "well_mass", "anisotropy", "basin",
             "full_converged", "rad_converged", "full_iterations", "rad_iterations",
         ]
         _write_csv(out_dir / "sweep.csv", [r.as_dict() for r in rows], cols)

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field3D, RadialField
+from .fields import Field3D, Grid3D, RadialField, RadialGrid
 from .radial import (
     apply_kinetic_form,
     kinetic_form_coefficients,
     radial_coulomb,
     radial_coulomb_potential,
-    radial_kinetic,
 )
 from .spectral import ops_for
 
@@ -60,22 +59,106 @@ class ELResidual:
 
 
 # --------------------------------------------------------------------------
-# full 3D functional
+# the discrete functionals, shared by the descent loop and the diagnostics
+# --------------------------------------------------------------------------
+
+
+class BoxFunctional:
+    """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb.
+
+    ``evaluate`` returns the breakdown and the spectra of ψ and ρ (one padded
+    forward FFT); ``residual`` reuses those spectra and returns ‖(H_ψ - μ)ψ‖
+    with μ, the residual itself, and the gradient the preconditioner acts on.
+    """
+
+    def __init__(self, grid: Grid3D, V: Field3D | None = None):
+        if V is not None and V.grid != grid:
+            raise ValueError("potential and wave function live on different grids")
+        self.ops = ops_for(grid)
+        self.dv = grid.cell_volume
+        self.V = None if V is None else V.values
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(a * b) * self.dv)
+
+    def evaluate(self, values: np.ndarray) -> tuple:
+        ops = self.ops
+        spec_psi = ops.fft(values)
+        T = ops.kinetic(values, spec=spec_psi)
+        rho = values**2
+        spec_rho = ops.fft_padded(rho)
+        D = ops.coulomb_energy(rho, spec_pad=spec_rho)
+        P = 0.0 if self.V is None else float(np.sum(self.V * rho) * self.dv)
+        return EnergyBreakdown(T, D, P), (spec_psi, spec_rho)
+
+    def hamiltonian(self, values: np.ndarray, spectra=(None, None), coulomb=True) -> np.ndarray:
+        """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ, reusing the spectra of evaluate when given."""
+        spec_psi, spec_rho = spectra
+        h = self.ops.neg_laplacian(values, spec=spec_psi)
+        if coulomb:
+            h -= 2 * self.ops.coulomb_potential(values**2, spec_pad=spec_rho) * values
+        if self.V is not None:
+            h -= self.V * values
+        return h
+
+    def residual(self, values: np.ndarray, bd=None, spectra=(None, None), coulomb=True) -> tuple:
+        """μ = ⟨ψ, H_ψ ψ⟩, so bd is not needed; the gradient is the L² one,
+        2(H_ψ - μ)ψ."""
+        h = self.hamiltonian(values, spectra, coulomb)
+        mu = self.inner(values, h)
+        res = h - mu * values
+        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), res, 2 * res
+
+
+class RadialFunctional:
+    """E_V on the radial grid: kinetic quadratic form, Newton-theorem Coulomb."""
+
+    def __init__(self, rgrid: RadialGrid, Vr: RadialField | None = None):
+        if Vr is not None and Vr.grid != rgrid:
+            raise ValueError("potential and wave function live on different radial grids")
+        self.grid = rgrid
+        self.M = rgrid.volume_weights()
+        self.c_seg = kinetic_form_coefficients(rgrid)
+        self.V = np.zeros(rgrid.m) if Vr is None else Vr.values
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(self.M * a * b))
+
+    def evaluate(self, values: np.ndarray) -> tuple:
+        # T = Σ c_j (Δu)²; c_seg already carries the dr weight
+        T = float(np.sum(self.c_seg * np.diff(values) ** 2))
+        D = radial_coulomb(RadialField(self.grid, values**2))
+        P = float(np.sum(self.M * self.V * values**2))
+        return EnergyBreakdown(T, D, P), None
+
+    def residual(self, values: np.ndarray, bd: EnergyBreakdown, spectra=None) -> tuple:
+        """(H u)_j in the weighted metric, with the origin node (zero measure)
+        set to 0; the gradient is the nodal one, M·2(H - μ)u, whose origin row
+        couples through the kinetic form only."""
+        M = self.M
+        rho = values**2
+        phi = radial_coulomb_potential(RadialField(self.grid, rho))
+        Ku = apply_kinetic_form(values, self.c_seg)
+        h = np.zeros(self.grid.m)
+        h[1:] = Ku[1:] / M[1:] - 2 * phi[1:] * values[1:] - self.V[1:] * values[1:]
+        # μ by the energy pairing: the origin node carries kinetic coupling but no
+        # metric weight, so Σ M u (Hu) alone would drop its contribution
+        mu = bd.kinetic - 2 * float(np.sum(M * phi * rho)) - bd.potential
+        res = h - mu * values
+        res[0] = 0.0
+        g = M * 2 * res
+        g[0] = 2 * Ku[0]
+        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), res, g
+
+
+# --------------------------------------------------------------------------
+# public diagnostics
 # --------------------------------------------------------------------------
 
 
 def pekar_energy(psi: Field3D, V: Field3D | None = None) -> EnergyBreakdown:
     """Energy breakdown of a normalized ψ in external potential V."""
-    ops = ops_for(psi.grid)
-    rho = psi.values**2
-    T = ops.kinetic(psi.values)
-    D = ops.coulomb_energy(rho)
-    P = 0.0
-    if V is not None:
-        if V.grid != psi.grid:
-            raise ValueError("potential and wave function live on different grids")
-        P = float(np.sum(V.values * rho) * psi.grid.cell_volume)
-    return EnergyBreakdown(T, D, P)
+    return BoxFunctional(psi.grid, V).evaluate(psi.values)[0]
 
 
 def free_energy(psi: Field3D) -> float:
@@ -88,49 +171,26 @@ def hamiltonian_apply(
     psi: Field3D, V: Field3D | None = None, include_coulomb: bool = True
 ) -> Field3D:
     """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ with Φ_ρ from the padded free-space kernel."""
-    ops = ops_for(psi.grid)
-    out = ops.neg_laplacian(psi.values)
-    if include_coulomb:
-        phi = ops.coulomb_potential(psi.values**2)
-        out -= 2 * phi * psi.values
-    if V is not None:
-        out -= V.values * psi.values
-    return Field3D(psi.grid, out)
+    F = BoxFunctional(psi.grid, V)
+    return Field3D(psi.grid, F.hamiltonian(psi.values, coulomb=include_coulomb))
 
 
 def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
-    b = pekar_energy(psi, V)
-    h = hamiltonian_apply(psi, V)
-    return b, Field3D(psi.grid, 2 * h.values)
+    F = BoxFunctional(psi.grid, V)
+    b, spectra = F.evaluate(psi.values)
+    return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, spectra))
 
 
 def el_residual(
     psi: Field3D, V: Field3D | None = None, include_coulomb: bool = True
 ) -> ELResidual:
     """Residual of the mean-field eigenvalue equation at ψ, with Rayleigh μ."""
-    dv = psi.grid.cell_volume
-    h = hamiltonian_apply(psi, V, include_coulomb=include_coulomb).values
-    mu = float(np.sum(psi.values * h) * dv)
-    res = h - mu * psi.values
-    return ELResidual(float(np.sqrt(np.sum(res * res) * dv)), mu)
-
-
-# --------------------------------------------------------------------------
-# radial functional
-# --------------------------------------------------------------------------
+    return BoxFunctional(psi.grid, V).residual(psi.values, coulomb=include_coulomb)[0]
 
 
 def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> EnergyBreakdown:
-    T = radial_kinetic(u)
-    rho = u.density()
-    D = radial_coulomb(rho)
-    P = 0.0
-    if Vr is not None:
-        if Vr.grid != u.grid:
-            raise ValueError("potential and wave function live on different radial grids")
-        P = float(np.sum(u.grid.volume_weights() * Vr.values * rho.values))
-    return EnergyBreakdown(T, D, P)
+    return RadialFunctional(u.grid, Vr).evaluate(u.values)[0]
 
 
 def radial_free_energy(u: RadialField) -> float:
@@ -138,33 +198,9 @@ def radial_free_energy(u: RadialField) -> float:
     return b.kinetic - b.coulomb
 
 
-def radial_hamiltonian_apply(u: RadialField, Vr: RadialField | None = None) -> np.ndarray:
-    """(H u)_j in the weighted metric; the origin node (zero measure) is set to 0."""
-    g = u.grid
-    M = g.volume_weights()
-    c_seg = kinetic_form_coefficients(g)
-    Ku = apply_kinetic_form(u.values, c_seg)
-    phi = radial_coulomb_potential(u.density())
-    out = np.zeros(g.m)
-    out[1:] = Ku[1:] / M[1:] - 2 * phi[1:] * u.values[1:]
-    if Vr is not None:
-        out[1:] -= Vr.values[1:] * u.values[1:]
-    return out
-
-
 def radial_el_residual(u: RadialField, Vr: RadialField | None = None) -> ELResidual:
-    g = u.grid
-    M = g.volume_weights()
-    h = radial_hamiltonian_apply(u, Vr)
-    # μ by the energy pairing: the origin node carries kinetic coupling but no
-    # metric weight, so Σ M u (Hu) alone would drop its contribution
-    rho = u.density()
-    pair = float(np.sum(M * radial_coulomb_potential(rho) * rho.values))
-    P = float(np.sum(M * Vr.values * rho.values)) if Vr is not None else 0.0
-    mu = radial_kinetic(u) - 2 * pair - P
-    res = h - mu * u.values
-    res[0] = 0.0
-    return ELResidual(float(np.sqrt(max(np.sum(M * res * res), 0.0))), mu)
+    F = RadialFunctional(u.grid, Vr)
+    return F.residual(u.values, F.evaluate(u.values)[0])[0]
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Constrained minimization on the L² unit sphere, full 3D and radial.
 
-The scheme is projected gradient descent with Armijo backtracking:
-steepest-descent directions are smoothed by the Sobolev preconditioner
-(c - 2Δ)⁻¹ (spectral in the box, banded tridiagonal solve on the radial
-grid), projected to the sphere tangent, and the step is accepted only on
-sufficient decrease, so the energy history is non-increasing by
-construction.  Plain L² descent needs step sizes ~1/k_max² and ~1e4-1e5
+One projected-gradient loop with Armijo backtracking serves both discrete
+functionals of ``pekar.energy``: steepest-descent directions are smoothed
+by the Sobolev preconditioner (c - 2Δ)⁻¹ (spectral in the box, banded
+solve on the radial grid) and projected to the sphere tangent; a step is
+taken only on sufficient decrease, so the energy history is non-increasing
+by construction.  Plain L² descent needs step sizes ~1/k_max² and ~1e4-1e5
 iterations at working resolutions; the preconditioner removes that
 stiffness without touching the monotonicity contract.
 """
@@ -20,7 +20,13 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .energy import ELResidual, EnergyBreakdown, check_coercivity
+from .energy import (
+    BoxFunctional,
+    ELResidual,
+    EnergyBreakdown,
+    RadialFunctional,
+    check_coercivity,
+)
 from .fields import (
     BoundarySupportWarning,
     Field3D,
@@ -29,12 +35,6 @@ from .fields import (
     RadialGrid,
     normalize,
     normalize_radial,
-)
-from .radial import (
-    apply_kinetic_form,
-    kinetic_form_coefficients,
-    radial_coulomb,
-    radial_coulomb_potential,
 )
 from .spectral import ops_for
 
@@ -96,7 +96,7 @@ class MinimizerResult:
     psi: Union[Field3D, RadialField]
     energy: EnergyBreakdown
     residual: ELResidual
-    iterations: int
+    iterations: int  # accepted steps, len(history) - 1
     converged: bool
     history: np.ndarray
     norm_history: np.ndarray = dc_field(default_factory=lambda: np.array([]))
@@ -201,8 +201,103 @@ def flat_seed(rgrid: RadialGrid) -> RadialField:
 
 
 # --------------------------------------------------------------------------
-# full 3D solver
+# the descent loop and its two preconditioned directions
 # --------------------------------------------------------------------------
+
+
+def _spectral_direction(F: BoxFunctional, shift: float):
+    """g ↦ (d, ⟨g, d⟩) with d the tangent part of (shift - 2Δ)⁻¹ g."""
+
+    def direction(psi: np.ndarray, g: np.ndarray) -> tuple:
+        d = F.ops.precondition(g, shift)
+        d -= F.inner(d, psi) * psi
+        return d, F.inner(g, d)
+
+    return direction
+
+
+def _banded_direction(F: RadialFunctional, shift: float):
+    """g ↦ (d, g·d) with d the tangent part of (shift·M + 2K)⁻¹ g, K the
+    tridiagonal kinetic form and g the nodal gradient."""
+    c_seg = F.c_seg
+    banded = np.zeros((2, F.grid.m))
+    banded[0, :] = shift * F.M + 2 * (np.r_[c_seg, 0.0] + np.r_[0.0, c_seg])
+    banded[1, :-1] = -2 * c_seg
+
+    def direction(psi: np.ndarray, g: np.ndarray) -> tuple:
+        d = solveh_banded(banded, g, lower=True)
+        d -= F.inner(d, psi) * psi
+        return d, float(np.sum(g * d))
+
+    return direction
+
+
+def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, preconditioner):
+    """Monotone projected descent of the discrete functional F from a
+    normalized seed; ``preconditioner(F, shift)`` builds the direction map."""
+    psi = seed.values
+    bd, spectra = F.evaluate(psi)
+    check_coercivity(bd, "seed evaluation")
+    history = [bd.total]
+    norms = [float(np.sqrt(F.inner(psi, psi)))]
+    step = opts.step_init
+    shift = opts.precond_shift
+    direction = None
+    # a warm start already at the stationary point should return immediately
+    last_dE = 0.0
+    stalled = False
+    el = ELResidual(np.inf, 0.0)  # Euler–Lagrange residual norm and μ
+
+    def done() -> bool:
+        return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
+
+    for it in range(opts.max_iters):
+        el, res, g = F.residual(psi, bd, spectra)
+        if done():
+            break
+        if shift is None:
+            shift = max(0.25, 2 * abs(el.mu))
+        decr = 0.0
+        if opts.precondition:
+            if direction is None:
+                direction = preconditioner(F, shift)
+            d, decr = direction(psi, g)
+        if decr <= 0:
+            d = 2 * res
+            decr = F.inner(d, d)
+
+        s = step
+        for _ in range(opts.max_backtracks):
+            cand = psi - s * d
+            nrm = np.sqrt(F.inner(cand, cand))
+            if nrm > 0:
+                cand /= nrm
+                bd_t, spectra_t = F.evaluate(cand)
+                if bd_t.total <= bd.total - opts.armijo_c * s * decr:
+                    break
+            s *= opts.backtrack_shrink
+        else:
+            stalled = True
+            break
+        check_coercivity(bd_t, f"iteration {it}")
+        last_dE = bd.total - bd_t.total
+        psi, bd, spectra = cand, bd_t, spectra_t
+        history.append(bd.total)
+        norms.append(float(np.sqrt(F.inner(psi, psi))))
+        step = min(s * opts.backtrack_grow, opts.step_max)
+        if done():  # el is still the residual of the iterate before this step
+            break
+
+    return MinimizerResult(
+        psi=type(seed)(seed.grid, psi),
+        energy=bd,
+        residual=el,
+        iterations=len(history) - 1,
+        converged=done(),
+        history=np.asarray(history),
+        norm_history=np.asarray(norms),
+        stalled=stalled,
+    )
 
 
 def minimize(
@@ -212,100 +307,11 @@ def minimize(
 ) -> MinimizerResult:
     """Minimize E_V over ‖ψ‖₂ = 1 by monotone projected descent."""
     opts.validate()
-    grid = V.grid
-    ops = ops_for(grid)
-    dv = grid.cell_volume
-    Vv = V.values
-
-    psi = (normalize(seed_field) if seed_field is not None else build_seed(opts.seed, grid)).values
-
-    def evaluate(values):
-        spec_psi = ops.fft(values)
-        T = ops.kinetic(values, spec=spec_psi)
-        rho = values**2
-        spec_rho = ops.fft_padded(rho)
-        D = ops.coulomb_energy(rho, spec_pad=spec_rho)
-        P = float(np.sum(Vv * rho) * dv)
-        return EnergyBreakdown(T, D, P), spec_psi, spec_rho
-
-    bd, spec_psi, spec_rho = evaluate(psi)
-    check_coercivity(bd, "seed evaluation")
-    E = bd.total
-    history = [E]
-    norms = [float(np.sqrt(np.sum(psi**2) * dv))]
-    step = opts.step_init
-    shift = opts.precond_shift
-    # a warm start already at the stationary point should return immediately
-    last_dE = 0.0
-    stalled = False
-    mu = 0.0
-    res_norm = np.inf
-    it = 0
-
-    for it in range(opts.max_iters):
-        phi = ops.coulomb_potential(psi**2, spec_pad=spec_rho)
-        h = ops.neg_laplacian(psi, spec=spec_psi) - 2 * phi * psi - Vv * psi
-        mu = float(np.sum(psi * h) * dv)
-        res = h - mu * psi
-        res_norm = float(np.sqrt(np.sum(res * res) * dv))
-        if res_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy:
-            break
-        if shift is None:
-            shift = max(0.25, 2 * abs(mu))
-        g = 2 * res
-        if opts.precondition:
-            d = ops.precondition(g, shift)
-            d -= (np.sum(d * psi) * dv) * psi
-            decr = float(np.sum(g * d) * dv)
-            if decr <= 0:
-                d, decr = g, float(np.sum(g * g) * dv)
-        else:
-            d, decr = g, float(np.sum(g * g) * dv)
-
-        s = step
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            cand = psi - s * d
-            nrm = float(np.sqrt(np.sum(cand**2) * dv))
-            if nrm > 0:
-                cand /= nrm
-                bd_t, spec_psi_t, spec_rho_t = evaluate(cand)
-                if bd_t.total <= E - opts.armijo_c * s * decr:
-                    accepted = True
-                    break
-            s *= opts.backtrack_shrink
-        if not accepted:
-            stalled = True
-            break
-        check_coercivity(bd_t, f"iteration {it}")
-        last_dE = E - bd_t.total
-        psi, bd, E = cand, bd_t, bd_t.total
-        spec_psi, spec_rho = spec_psi_t, spec_rho_t
-        history.append(E)
-        norms.append(float(np.sqrt(np.sum(psi**2) * dv)))
-        step = min(s * opts.backtrack_grow, opts.step_max)
-        if last_dE <= opts.tolerance_energy and res_norm <= opts.tolerance_residual:
-            break
-
-    converged = bool(res_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy)
-    out_field = Field3D(grid, psi)
-    boundary = ops.boundary_mass(psi**2) > 1e-6
-    return MinimizerResult(
-        psi=out_field,
-        energy=bd,
-        residual=ELResidual(res_norm, mu),
-        iterations=it,
-        converged=converged,
-        history=np.asarray(history),
-        norm_history=np.asarray(norms),
-        stalled=stalled,
-        boundary_flag=bool(boundary),
-    )
-
-
-# --------------------------------------------------------------------------
-# radial solver
-# --------------------------------------------------------------------------
+    seed = normalize(seed_field) if seed_field is not None else build_seed(opts.seed, V.grid)
+    F = BoxFunctional(V.grid, V)
+    res = _descend(F, seed, opts, _spectral_direction)
+    res.boundary_flag = bool(F.ops.boundary_mass(res.psi.values**2) > 1e-6)
+    return res
 
 
 def minimize_radial(
@@ -316,105 +322,10 @@ def minimize_radial(
     """Same descent scheme in the radial discretization (Newton Coulomb)."""
     opts.validate()
     rgrid = Vr.grid
-    m = rgrid.m
-    M = rgrid.volume_weights()
-    Vv = Vr.values
-    c_seg = kinetic_form_coefficients(rgrid)
-    Kd = np.zeros(m)
-    Kd[:-1] += c_seg
-    Kd[1:] += c_seg
-
-    u = (
+    seed = (
         normalize_radial(seed_field) if seed_field is not None else build_radial_seed(opts.seed, rgrid)
-    ).values
-
-    def evaluate(values):
-        # T = Σ c_j (Δu)²; c_seg already carries the dr weight
-        T = float(np.sum(c_seg * np.diff(values) ** 2))
-        rho = RadialField(rgrid, values**2)
-        D = radial_coulomb(rho)
-        P = float(np.sum(M * Vv * values**2))
-        return EnergyBreakdown(T, D, P)
-
-    bd = evaluate(u)
-    check_coercivity(bd, "seed evaluation")
-    E = bd.total
-    history = [E]
-    norms = [float(np.sqrt(np.sum(M * u * u)))]
-    step = opts.step_init
-    shift = opts.precond_shift
-    banded = None
-    last_dE = 0.0
-    stalled = False
-    mu = 0.0
-    res_norm = np.inf
-    it = 0
-
-    for it in range(opts.max_iters):
-        rho = u**2
-        phi = radial_coulomb_potential(RadialField(rgrid, rho))
-        Ku = apply_kinetic_form(u, c_seg)
-        h = np.zeros(m)
-        h[1:] = Ku[1:] / M[1:] - 2 * phi[1:] * u[1:] - Vv[1:] * u[1:]
-        # Rayleigh quotient by the energy pairing (origin node has no metric weight)
-        mu = bd.kinetic - 2 * float(np.sum(M * phi * rho)) - bd.potential
-        res = h - mu * u
-        res[0] = 0.0
-        res_norm = float(np.sqrt(max(np.sum(M * res * res), 0.0)))
-        if res_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy:
-            break
-        if shift is None:
-            shift = max(0.25, 2 * abs(mu))
-        if banded is None and opts.precondition:
-            banded = np.zeros((2, m))
-            banded[0, :] = shift * M + 2 * Kd
-            banded[1, :-1] = -2 * c_seg
-        g = M * 2 * res
-        g[0] = 2 * Ku[0]  # origin node couples through the kinetic form only
-        if opts.precondition:
-            d = solveh_banded(banded, g, lower=True)
-            d -= float(np.sum(M * d * u)) * u
-            decr = float(np.sum(g * d))
-            if decr <= 0:
-                d, decr = 2 * res, float(np.sum(g * 2 * res))
-        else:
-            d, decr = 2 * res, float(np.sum(g * 2 * res))
-
-        s = step
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            cand = u - s * d
-            nrm2 = float(np.sum(M * cand * cand))
-            if nrm2 > 0:
-                cand = cand / np.sqrt(nrm2)
-                bd_t = evaluate(cand)
-                if bd_t.total <= E - opts.armijo_c * s * decr:
-                    accepted = True
-                    break
-            s *= opts.backtrack_shrink
-        if not accepted:
-            stalled = True
-            break
-        check_coercivity(bd_t, f"radial iteration {it}")
-        last_dE = E - bd_t.total
-        u, bd, E = cand, bd_t, bd_t.total
-        history.append(E)
-        norms.append(float(np.sqrt(np.sum(M * u * u))))
-        step = min(s * opts.backtrack_grow, opts.step_max)
-        if last_dE <= opts.tolerance_energy and res_norm <= opts.tolerance_residual:
-            break
-
-    converged = bool(res_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy)
-    return MinimizerResult(
-        psi=RadialField(rgrid, u),
-        energy=bd,
-        residual=ELResidual(res_norm, mu),
-        iterations=it,
-        converged=converged,
-        history=np.asarray(history),
-        norm_history=np.asarray(norms),
-        stalled=stalled,
     )
+    return _descend(RadialFunctional(rgrid, Vr), seed, opts, _banded_direction)
 
 
 # --------------------------------------------------------------------------
@@ -436,15 +347,17 @@ def solve_free(
     """
     if opts is None:
         opts = SolveOptions(tolerance_residual=1e-6)
-    key = (rgrid.m, rgrid.r_max, opts.tolerance_energy, opts.tolerance_residual)
-    with _free_lock:
-        hit = _free_cache.get(key)
-    if hit is not None:
-        return hit
-    V0 = RadialField(rgrid, np.zeros(rgrid.m))
-    res = minimize_radial(V0, opts)
-    if float(np.sum(res.psi.values)) < 0:
-        res.psi = RadialField(rgrid, -res.psi.values)
-    with _free_lock:
-        _free_cache[key] = res
-    return res
+    key = (rgrid, opts)
+    try:
+        with _free_lock:
+            hit = _free_cache.get(key)
+    except TypeError:  # a custom seed holds a RadialField, which has no hash
+        key = hit = None
+    if hit is None:
+        hit = minimize_radial(RadialField(rgrid, np.zeros(rgrid.m)), opts)
+        if float(np.sum(hit.psi.values)) < 0:
+            hit.psi = RadialField(rgrid, -hit.psi.values)
+        if key is not None:
+            with _free_lock:
+                hit = _free_cache.setdefault(key, hit)
+    return hit

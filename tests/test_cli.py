@@ -140,7 +140,10 @@ class TestRunSweep:
         assert main(["run", "--config", cfg]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "R"
-        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        header = lines[0].split(",")
+        assert "basin" in header
+        row = dict(zip(header, lines[1].split(",")))
+        assert row["basin"] in ("translate", "radial")
         assert float(row["e_full"]) <= float(row["trial_bound"]) + 1e-6
         assert float(row["e_full"]) <= float(row["e_rad"]) + 5e-3 * abs(float(row["e_rad"]))
 

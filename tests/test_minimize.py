@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ class TestRadialFreeProblem:
         o = SolveOptions(max_iters=500, tolerance_residual=1e-6)
         assert solve_free(rg, o) is solve_free(rg, o)
 
+    def test_solver_cache_keyed_on_all_options(self):
+        rg = RadialGrid(1024, 20.0)
+        o = SolveOptions(max_iters=500, tolerance_residual=1e-6)
+        full = solve_free(rg, o)
+        short = solve_free(rg, replace(o, max_iters=3))
+        assert full.converged and not short.converged
+        assert short.iterations == 3
+        # a custom seed is unhashable: solved each time, never cached
+        custom = replace(o, seed=SeedSpec(kind="custom", field=short.psi))
+        assert solve_free(rg, custom) is not solve_free(rg, custom)
+
     def test_flat_seed_converges_monotone(self):
         rg = RadialGrid(1024, 20.0)
         Vr = PotentialSpec(kind="annular", R=6.0).build_radial(rg)
@@ -76,13 +89,14 @@ class TestRadialFreeProblem:
         assert np.all(np.diff(res.history) <= 0.0)
         assert res.energy.total < -0.5  # deep well binds a shell state
 
-    def test_zero_max_iters_returns_seed_eval(self):
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_zero_max_iters_returns_seed_eval(self, max_iters):
+        # iterations counts accepted steps; at 0 only the seed is evaluated
         rg = RadialGrid(512, 18.0)
         Vr = RadialField(rg, np.zeros(rg.m))
-        res = minimize_radial(Vr, SolveOptions(max_iters=0))
+        res = minimize_radial(Vr, SolveOptions(max_iters=max_iters))
         assert not res.converged
-        assert res.iterations == 0
-        assert len(res.history) == 1
+        assert res.iterations == len(res.history) - 1 == max_iters
 
 
 class Test3DFreeProblem:
@@ -125,12 +139,14 @@ class Test3DFreeProblem:
         assert r1.energy.total == r2.energy.total
         np.testing.assert_array_equal(r1.psi.values, r2.psi.values)
 
-    def test_max_iters_zero(self):
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_max_iters_zero(self, max_iters):
         g = Grid3D(32, 16.0)
         V = Field3D(g, np.zeros(g.shape))
-        res = minimize(V, SolveOptions(max_iters=0, seed=SeedSpec(kind="radial_gaussian")))
+        o = SolveOptions(max_iters=max_iters, seed=SeedSpec(kind="radial_gaussian"))
+        res = minimize(V, o)
         assert not res.converged
-        assert res.iterations == 0
+        assert res.iterations == len(res.history) - 1 == max_iters
 
 
 def _radial_free():

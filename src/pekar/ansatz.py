@@ -26,7 +26,7 @@ singular cells that never decays with the cutoff.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +49,6 @@ def _corner_cell_value() -> float:
 
 _J_CORNER = _corner_cell_value()
 
-_class_cache: dict = {}
-_class_lock = threading.Lock()
-
 
 def _cell_integrals(n_half: int) -> dict:
     """∫_cell du/|u|² over unit cells centered at half-integer triples.
@@ -59,10 +56,6 @@ def _cell_integrals(n_half: int) -> dict:
     Keys are sorted odd-integer triples (twice the center components);
     values are the cell integrals in dk = 1 units.
     """
-    with _class_lock:
-        cached = _class_cache.get(n_half)
-    if cached is not None:
-        return cached
     odds = np.arange(1, 2 * n_half, 2)
     xg, wg = leggauss(_GL_ORDER)
     keys = []
@@ -85,9 +78,27 @@ def _cell_integrals(n_half: int) -> dict:
         vals += W3[idx] / (px * px + py * py + pz * pz)
     table = dict(zip(keys, vals))
     table[(1, 1, 1)] = _J_CORNER  # singular corner cell, closed form
-    with _class_lock:
-        _class_cache[n_half] = table
     return table
+
+
+@functools.cache
+def _unit_cell_inv_k2(n_k: int) -> np.ndarray:
+    """The cell integrals on the n_k³ mode grid in dk = 1 units, read-only:
+    they depend on n_k alone, so every KGrid of that size shares them."""
+    table = _cell_integrals(n_k // 2)
+    odd = np.abs((2 * np.arange(n_k) + 1 - n_k).astype(np.int64))
+    I, J, K = np.meshgrid(odd, odd, odd, indexing="ij")
+    trip = np.stack([I, J, K], axis=-1)
+    trip.sort(axis=-1)
+    keys = trip[..., ::-1].reshape(-1, 3)
+    flat = np.fromiter(
+        (table[(int(a), int(b), int(c))] for a, b, c in keys),
+        dtype=np.float64,
+        count=len(keys),
+    )
+    out = flat.reshape((n_k,) * 3)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,18 +133,7 @@ class KGrid:
 
     def cell_inv_k2(self) -> np.ndarray:
         """Exact ∫_cell dk/|k|² per mode (absorbs the dk scaling)."""
-        table = _cell_integrals(self.n_k // 2)
-        odd = np.abs((2 * np.arange(self.n_k) + 1 - self.n_k).astype(np.int64))
-        I, J, K = np.meshgrid(odd, odd, odd, indexing="ij")
-        trip = np.stack([I, J, K], axis=-1)
-        trip.sort(axis=-1)
-        keys = trip[..., ::-1].reshape(-1, 3)
-        flat = np.fromiter(
-            (table[(int(a), int(b), int(c))] for a, b, c in keys),
-            dtype=np.float64,
-            count=len(keys),
-        )
-        return flat.reshape(self.shape) * self.dk
+        return _unit_cell_inv_k2(self.n_k) * self.dk
 
     def weights(self) -> np.ndarray:
         """Mode weights β·dk³ for ∫|z|² dk such that the quadratic collapse

@@ -11,10 +11,16 @@ Two headline computations.
 
 (B) Derivative of δ ↦ e(V + δZ) for radial Z: central differences over a
     δ-schedule with Richardson extrapolation, checked against the pairing
-    -∫Z|u_V|².  Perturbed solves warm-start from the unperturbed
+    -∫Z|u_V|².  Perturbed solves warm-start near the unperturbed
     minimizer, which keeps them in the same rotation's basin and makes
     the one-sided variational quotients exact bracketing bounds for the
-    monotone solver.
+    monotone solver.  The first solve (+δ_max) starts from u_V; each later
+    one starts from the Lagrange interpolation in δ, normalized, of u_V and
+    every ±δ solved before it, so the finer δ's start next to their
+    minimizers.  That seed is used only when E_{V+δZ} of it lies below
+    E_{V+δZ}(u_V) = e(V) - δ∫Z|u_V|²; otherwise the solve starts from u_V.
+    Either way the solve ends at or below E_{V+δZ}(u_V), which is the
+    bound forward ≤ -∫Z|u_V|².
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angular import spherical_average
-from .fields import Field3D, Grid3D, RadialGrid
+from .energy import pekar_energy
+from .fields import Field3D, Grid3D, RadialGrid, normalize
 from .minimize import (
     MinimizerResult,
     SeedSpec,
@@ -181,9 +188,7 @@ def sweep_R(
         basin = "translate"
         margin = 10 * max(opts.tolerance_energy, 1e-8)
         if full.energy.total > rad.energy.total - margin:
-            from .fields import normalize as _norm
-
-            seed2 = _norm(lift_onto(rad.psi.values, rgrid, grid))
+            seed2 = normalize(lift_onto(rad.psi.values, rgrid, grid))
             alt = minimize(V, opts, seed_field=seed2)
             if alt.energy.total < full.energy.total:
                 full, basin = alt, "radial"
@@ -244,12 +249,32 @@ def fd_derivative(
     e0 = base.energy.total
     pairing = potential_energy(Z, uV.density())
 
+    solved = {0.0: uV.values}  # minimizer at each δ solved so far
+
+    def solve_at(delta: float) -> MinimizerResult:
+        warm = uV
+        if len(solved) > 1:
+            # Lagrange interpolation in δ through the solved δ's, kept only
+            # below E_{V+δZ}(u_V) = e0 - δ·pairing, the variational bound's
+            # reference, so the monotone solve still ends below it
+            guess = sum(
+                np.prod([(delta - xm) / (xj - xm) for xm in solved if xm != xj]) * u
+                for xj, u in solved.items()
+            )
+            guess = normalize(Field3D(grid, guess))
+            Vd = Field3D(grid, V.values + delta * Z.values)
+            if pekar_energy(guess, Vd).total < e0 - delta * pairing:
+                warm = guess
+        res = perturbed_energy(V, Z, delta, opts, warm=warm)
+        solved[delta] = res.psi.values
+        return res
+
     deltas = sorted(deltas, reverse=True)
     e_plus, e_minus, fwd, bwd, cen = [], [], [], [], []
     flagged = not base.converged
     for d in deltas:
-        rp = perturbed_energy(V, Z, +d, opts, warm=uV)
-        rm = perturbed_energy(V, Z, -d, opts, warm=uV)
+        rp = solve_at(+d)
+        rm = solve_at(-d)
         flagged = flagged or not (rp.converged and rm.converged)
         e_plus.append(rp.energy.total)
         e_minus.append(rm.energy.total)

@@ -78,10 +78,12 @@ class SpectralOps:
         return sfft.irfftn(spec, s=self.grid.shape, workers=_WORKERS)
 
     def fft_padded(self, values: np.ndarray) -> np.ndarray:
-        big = np.zeros((self.npad,) * 3)
-        n = self.grid.n
-        big[:n, :n, :n] = values
-        return sfft.rfftn(big, workers=_WORKERS)
+        """rfftn of ``values`` zero-padded to npad³, without building the
+        real padded array: the last-axis pass runs on the n² nonzero lines
+        only, and fft2 pads and transforms the first two axes."""
+        npad = self.npad
+        half = sfft.rfft(values, n=npad, axis=2, workers=_WORKERS)
+        return sfft.fft2(half, s=(npad, npad), axes=(0, 1), overwrite_x=True, workers=_WORKERS)
 
     # -- energies and operators ---------------------------------------------
 
@@ -104,9 +106,15 @@ class SpectralOps:
         """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box."""
         if spec_pad is None:
             spec_pad = self.fft_padded(rho)
-        n = self.grid.n
-        phi = sfft.irfftn(self.wk * spec_pad, s=(self.npad,) * 3, workers=_WORKERS)
-        return np.ascontiguousarray(phi[:n, :n, :n])
+        # pruned inverse: crop after each axis pass, so the later passes
+        # transform only the lines that reach the original box; the passes
+        # run unscaled and the 1/npad³ factor is applied once at the end,
+        # as irfftn does, which keeps the result bit-identical to it
+        n, npad = self.grid.n, self.npad
+        t = sfft.ifft(self.wk * spec_pad, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
+        t = sfft.ifft(t[:n], axis=1, norm="forward", overwrite_x=True, workers=_WORKERS)
+        phi = sfft.irfft(t[:, :n], n=npad, axis=2, norm="forward", workers=_WORKERS)
+        return phi[:, :, :n] * (1.0 / npad**3)
 
     def neg_laplacian(self, values: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
         if spec is None:

@@ -16,7 +16,7 @@ from pekar import (
     optimal_displacement,
     product_energy,
 )
-from pekar.ansatz import _cell_integrals, _J_CORNER
+from pekar.ansatz import _cell_integrals, _unit_cell_inv_k2, _J_CORNER
 
 from conftest import gaussian_psi, smooth_random_psi
 
@@ -56,6 +56,21 @@ class TestKGrid:
 
             val, err = dblquad(inner, cx - 0.5, cx + 0.5, cy - 0.5, cy + 0.5, epsabs=1e-11)
             assert table[key] == pytest.approx(val, abs=1e-8)
+
+    def test_cached_cell_integrals_match_table_and_refuse_writes(self):
+        n_k = 6
+        table = _cell_integrals(n_k // 2)
+        odd = np.abs(2 * np.arange(n_k) + 1 - n_k)
+        fresh = np.empty((n_k,) * 3)
+        for idx in np.ndindex(fresh.shape):
+            key = tuple(sorted((int(odd[i]) for i in idx), reverse=True))
+            fresh[idx] = table[key]
+        cached = _unit_cell_inv_k2(n_k)
+        assert np.array_equal(cached, fresh)
+        kg = KGrid(n_k, 1.5)
+        assert np.array_equal(kg.cell_inv_k2(), fresh * kg.dk)
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 0.0
 
     def test_weights_positive_and_near_one_far_out(self):
         kg = KGrid(16, 4.0)

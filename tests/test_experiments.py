@@ -131,6 +131,32 @@ class TestFdDerivative:
             assert rep.backward[i] >= -rep.pairing - 0.05 * rep.deltas[i] - 1e-10
         assert rep.defect <= 1e-2 * rep.pairing
 
+    def test_ladder_seeds_stay_below_the_base_minimizer(self, grid_R4, base_R4, monkeypatch):
+        # each warm start after the first interpolates the δ's already solved;
+        # it must never start above u_V, or the variational bound is lost
+        import pekar.experiments as exp
+        from pekar import pekar_energy
+
+        V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
+        Zspec = PotentialSpec(kind="radial_bump", center=3.0, width=1.5)
+        Z = Zspec.build(grid_R4)
+        calls = []
+        solve = exp.perturbed_energy
+
+        def recording(V_, Z_, delta, opts, warm=None):
+            res = solve(V_, Z_, delta, opts, warm=warm)
+            calls.append((delta, warm, res.iterations))
+            return res
+
+        monkeypatch.setattr(exp, "perturbed_energy", recording)
+        fd_derivative(V, Zspec, grid_R4, OPTS, deltas=(0.04, 0.02, 0.01), base=base_R4)
+        assert [c[0] for c in calls] == [0.04, -0.04, 0.02, -0.02, 0.01, -0.01]
+        for delta, warm, _ in calls:
+            Vd = Field3D(grid_R4, V.values + delta * Z.values)
+            assert pekar_energy(warm, Vd).total <= pekar_energy(base_R4.psi, Vd).total + 1e-12
+        iters = [c[2] for c in calls]
+        assert sum(iters[2:]) < sum(iters[:2])
+
     def test_nonradial_perturbation_rejected(self, grid_R4):
         V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
         with pytest.raises(ValueError, match="radial"):

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from pekar import (
     BoundarySupportWarning,
@@ -10,7 +13,7 @@ from pekar import (
     kinetic_energy,
     normalize,
 )
-from pekar.spectral import ops_for
+from pekar.spectral import SpectralOps, ops_for
 
 from conftest import ball_density, gaussian_psi
 
@@ -115,6 +118,26 @@ class TestCoulomb:
         phi = coulomb_potential(rho)
         pair = rho.inner(phi)
         assert pair == pytest.approx(coulomb_self_energy(rho), rel=1e-13)
+
+
+class TestPrunedTransforms:
+    """The padded transforms never build the npad³ array; they must still
+    equal, bit for bit, the transforms of the explicitly padded array."""
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_equal_to_full_padded_transforms(self, n):
+        # Grid3D admits only even n, so the odd size runs the two methods on
+        # a stand-in carrying the attributes they read
+        rng = np.random.default_rng(n)
+        npad = 2 * n
+        ops = SimpleNamespace(grid=SimpleNamespace(n=n), npad=npad, wk=rng.random((npad, npad, n + 1)))
+        values = rng.random((n, n, n))
+        big = np.zeros((npad,) * 3)
+        big[:n, :n, :n] = values
+        spec = sfft.rfftn(big)
+        assert np.array_equal(SpectralOps.fft_padded(ops, values), spec)
+        phi = sfft.irfftn(ops.wk * spec, s=(npad,) * 3)[:n, :n, :n]
+        assert np.array_equal(SpectralOps.coulomb_potential(ops, values, spec_pad=spec), phi)
 
 
 class TestLatticeInvariance:

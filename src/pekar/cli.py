@@ -17,13 +17,14 @@ import platform
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .angular import spherical_average
 from .ansatz import alpha_scaling_check, min_product_energy
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_in_box, integer, number, parsed
 from .energy import pekar_energy
 from .experiments import (
     center_of_mass,
@@ -32,8 +33,8 @@ from .experiments import (
     sweep_R,
 )
 from .fields import save_field, save_radial
-from .minimize import minimize, minimize_radial, solve_free
-from .potentials import mass_in_well
+from .minimize import minimize, minimize_radial, radial_gaussian_seed, solve_free
+from .potentials import PotentialSpec, mass_in_well
 from .radial import strauss_bound_check
 
 
@@ -47,164 +48,201 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, rows: list, columns: list) -> None:
+def _write_csv(path: Path, rows: list) -> list:
+    """One column per key of the (non-empty) rows, in their order; returns the rows."""
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
+    return rows
 
 
-def _nonconverged(results) -> bool:
-    return any(not r for r in results)
+def _write_json(out_dir: Path, name: str, payload: dict) -> dict:
+    (out_dir / name).write_text(json.dumps(payload, indent=2))
+    return {name: payload}
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> tuple:
-    """Returns (artifacts dict, list of converged flags)."""
-    arts: dict = {}
-    converged: list = []
-    name = cfg.experiment
+def _solve_summary(res) -> dict:
+    el = res.residual
+    return {"residual_norm": el.residual_norm, "mu": el.mu,
+            "iterations": res.iterations, "converged": res.converged}
 
-    if name == "solve-free":
-        res = solve_free(cfg.radial_grid, cfg.solver)
-        converged.append(res.converged)
-        b = res.energy
-        virial_defect = abs(b.coulomb - 2 * b.kinetic) / b.coulomb
-        margin = strauss_bound_check(res.psi)
-        payload = {
-            "e0": b.total,
-            "energy": b.as_dict(),
-            "virial_defect": virial_defect,
-            "strauss_margin": margin,
-            "residual_norm": res.residual.residual_norm,
-            "mu": res.residual.mu,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        }
-        (out_dir / "free.json").write_text(json.dumps(payload, indent=2))
-        save_radial(out_dir / "q.csv", res.psi)
-        arts["free.json"] = payload
-        arts["q.csv"] = "radial minimizer profile"
 
-    elif name == "solve-radial":
-        Vr = cfg.potential.build_radial(cfg.radial_grid)
-        res = minimize_radial(Vr, cfg.solver)
-        converged.append(res.converged)
-        payload = {
-            "e_rad": res.energy.total,
-            "energy": res.energy.as_dict(),
-            "residual_norm": res.residual.residual_norm,
-            "mu": res.residual.mu,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "strauss_margin": strauss_bound_check(res.psi),
-        }
-        (out_dir / "radial.json").write_text(json.dumps(payload, indent=2))
-        save_radial(out_dir / "u_rad.csv", res.psi)
-        arts["radial.json"] = payload
+def _run_solve_free(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    res = solve_free(cfg.radial_grid, cfg.solver)
+    b = res.energy
+    payload = {
+        "e0": b.total,
+        "energy": b.as_dict(),
+        "virial_defect": abs(b.coulomb - 2 * b.kinetic) / b.coulomb,
+        "strauss_margin": strauss_bound_check(res.psi),
+        **_solve_summary(res),
+    }
+    save_radial(out_dir / "q.csv", res.psi)
+    arts = {**_write_json(out_dir, "free.json", payload), "q.csv": "radial minimizer profile"}
+    return arts, [res.converged]
 
-    elif name == "solve-full":
-        V = cfg.potential.build(cfg.grid)
-        res = minimize(V, cfg.solver)
-        converged.append(res.converged)
-        rho = res.psi.density()
-        com = center_of_mass(rho)
-        payload = {
-            "e_full": res.energy.total,
-            "energy": res.energy.as_dict(),
-            "residual_norm": res.residual.residual_norm,
-            "mu": res.residual.mu,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "anisotropy": float(np.linalg.norm(com)),
-            "center_of_mass": com.tolist(),
-            "boundary_flag": res.boundary_flag,
-        }
-        if cfg.potential.kind == "annular":
-            payload["well_mass"] = mass_in_well(rho, cfg.potential.R)
-        (out_dir / "full.json").write_text(json.dumps(payload, indent=2))
-        save_field(out_dir / "psi.field", res.psi)
-        prof = spherical_average(rho)
-        save_radial(out_dir / "density_profile.csv", prof)
-        arts["full.json"] = payload
 
-    elif name == "sweep-R":
-        rows = sweep_R(
-            cfg.params["R_list"], cfg.grid, cfg.radial_grid, cfg.solver, workers=cfg.workers
-        )
-        converged.extend(r.full_converged and r.rad_converged for r in rows)
-        cols = [
-            "R", "e_full", "e_rad", "trial_bound", "gap", "well_mass", "anisotropy", "basin",
-            "full_converged", "rad_converged", "full_iterations", "rad_iterations",
-        ]
-        _write_csv(out_dir / "sweep.csv", [r.as_dict() for r in rows], cols)
-        arts["sweep.csv"] = [r.as_dict() for r in rows]
+def _run_solve_radial(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    res = minimize_radial(cfg.potential.build_radial(cfg.radial_grid), cfg.solver)
+    payload = {
+        "e_rad": res.energy.total,
+        "energy": res.energy.as_dict(),
+        **_solve_summary(res),
+        "strauss_margin": strauss_bound_check(res.psi),
+    }
+    save_radial(out_dir / "u_rad.csv", res.psi)
+    return _write_json(out_dir, "radial.json", payload), [res.converged]
 
-    elif name == "perturb":
-        V = cfg.potential.build(cfg.grid)
-        zspec = cfg.z_spec()
-        deltas = cfg.params.get("deltas", [0.04, 0.02, 0.01])
-        rep = fd_derivative(V, zspec, cfg.grid, cfg.solver, deltas=deltas)
-        converged.append(not rep.flagged)
-        cols = ["delta", "e_plus", "e_minus", "forward", "backward", "central",
-                "pairing", "richardson", "defect"]
-        _write_csv(out_dir / "derivative.csv", rep.as_rows(), cols)
-        arts["derivative.csv"] = rep.as_rows()
 
-    elif name == "product-energy":
-        alpha = float(cfg.params.get("alpha", 1.0))
-        sigma = float(cfg.params.get("sigma", 1.0))
-        from .minimize import radial_gaussian_seed
+def _run_solve_full(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    res = minimize(cfg.potential.build(cfg.grid), cfg.solver)
+    rho = res.psi.density()
+    com = center_of_mass(rho)
+    payload = {
+        "e_full": res.energy.total,
+        "energy": res.energy.as_dict(),
+        **_solve_summary(res),
+        "anisotropy": float(np.linalg.norm(com)),
+        "center_of_mass": com.tolist(),
+        "boundary_flag": res.boundary_flag,
+    }
+    if cfg.potential.kind == "annular":
+        payload["well_mass"] = mass_in_well(rho, cfg.potential.R)
+    save_field(out_dir / "psi.field", res.psi)
+    save_radial(out_dir / "density_profile.csv", spherical_average(rho))
+    return _write_json(out_dir, "full.json", payload), [res.converged]
 
-        psi = radial_gaussian_seed(cfg.grid, sigma)
-        V = cfg.potential.build(cfg.grid) if cfg.potential else None
-        e_prod, _ = min_product_energy(psi, cfg.kgrid, V, alpha=1.0)
-        e_pek = pekar_energy(psi, V).total
-        payload = {
-            "alpha": alpha,
-            "sigma": sigma,
-            "min_product_energy": e_prod,
-            "pekar_energy": e_pek,
-            "square_completion_defect": abs(e_prod - e_pek),
-            "alpha_scaling_defect": alpha_scaling_check(psi, alpha, cfg.kgrid, V),
-        }
-        (out_dir / "product.json").write_text(json.dumps(payload, indent=2))
-        arts["product.json"] = payload
-        converged.append(True)
 
-    elif name == "orbit":
-        n_seeds = int(cfg.params.get("n_seeds", 2))
-        rep = rotation_orbit_evidence(
-            cfg.potential,
-            n_seeds,
-            cfg.grid,
-            cfg.solver,
-            rng_seed=cfg.rng_seed,
-            recenter=bool(cfg.params.get("recenter", cfg.potential.kind != "annular")),
-        )
-        converged.extend(rep.converged)
-        rows = [
-            {"seed_index": i, "energy": e, "converged": c}
-            for i, (e, c) in enumerate(zip(rep.energies, rep.converged))
-        ]
-        _write_csv(out_dir / "orbit.csv", rows, ["seed_index", "energy", "converged"])
-        arts["orbit.csv"] = rows
-        arts["orbit_summary"] = {
-            "energy_spread": rep.energy_spread,
-            "max_profile_mismatch": rep.max_profile_mismatch,
-        }
-        (out_dir / "orbit_summary.json").write_text(json.dumps(arts["orbit_summary"], indent=2))
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    rows = sweep_R(cfg.params["R_list"], cfg.grid, cfg.radial_grid, cfg.solver, workers=cfg.workers)
+    arts = {"sweep.csv": _write_csv(out_dir / "sweep.csv", [r.as_dict() for r in rows])}
+    return arts, [not r.flagged for r in rows]
 
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError("experiment.name", f"unhandled experiment {name!r}")
 
-    return arts, converged
+def _run_perturb(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    V = cfg.potential.build(cfg.grid)
+    zspec = PotentialSpec(**cfg.params["z"])
+    rep = fd_derivative(V, zspec, cfg.grid, cfg.solver, deltas=cfg.params["deltas"])
+    arts = {"derivative.csv": _write_csv(out_dir / "derivative.csv", rep.as_rows())}
+    return arts, [not rep.flagged]
+
+
+def _run_product_energy(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    alpha = float(cfg.params["alpha"])
+    sigma = float(cfg.params["sigma"])
+    psi = radial_gaussian_seed(cfg.grid, sigma)
+    V = cfg.potential.build(cfg.grid) if cfg.potential else None
+    # the square completion is checked at α = 1; alpha enters only the scaling check
+    e_prod, _ = min_product_energy(psi, cfg.kgrid, V, alpha=1.0)
+    e_pek = pekar_energy(psi, V).total
+    payload = {
+        "alpha": alpha,
+        "sigma": sigma,
+        "min_product_energy": e_prod,
+        "pekar_energy": e_pek,
+        "square_completion_defect": abs(e_prod - e_pek),
+        "alpha_scaling_defect": alpha_scaling_check(psi, alpha, cfg.kgrid, V),
+    }
+    return _write_json(out_dir, "product.json", payload), [True]
+
+
+def _run_orbit(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+    recenter = cfg.params["recenter"]
+    if recenter is None:
+        recenter = cfg.potential.kind != "annular"
+    rep = rotation_orbit_evidence(cfg.potential, cfg.params["n_seeds"], cfg.grid, cfg.solver,
+                                  rng_seed=cfg.rng_seed, recenter=recenter)
+    rows = [
+        {"seed_index": i, "energy": e, "converged": c}
+        for i, (e, c) in enumerate(zip(rep.energies, rep.converged))
+    ]
+    summary = {"energy_spread": rep.energy_spread, "max_profile_mismatch": rep.max_profile_mismatch}
+    (out_dir / "orbit_summary.json").write_text(json.dumps(summary, indent=2))
+    arts = {"orbit.csv": _write_csv(out_dir / "orbit.csv", rows), "orbit_summary": summary}
+    return arts, list(rep.converged)
+
+
+def _numbers(path: str, values) -> list:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(path, "must be a non-empty list of numbers")
+    return [number(f"{path}[{i}]", v) for i, v in enumerate(values)]
+
+
+def _check_radial(cfg: ExperimentConfig) -> None:
+    if not cfg.potential.is_radial:
+        raise ConfigError("potential.kind", "radial solve needs a radial potential")
+
+
+def _check_sweep(cfg: ExperimentConfig) -> None:
+    for i, R in enumerate(_numbers("experiment.params.R_list", cfg.params["R_list"])):
+        if R <= 2:
+            raise ConfigError(f"experiment.params.R_list[{i}]", f"R must exceed 2, got {R}")
+        check_in_box(f"experiment.params.R_list[{i}]", R, cfg.grid)
+
+
+def _check_perturb(cfg: ExperimentConfig) -> None:
+    z = cfg.params["z"]
+    if not z:
+        raise ConfigError("experiment.params.z", "missing perturbation spec")
+    zspec = parsed("experiment.params.z", lambda: PotentialSpec(**z))
+    parsed("experiment.params.z", zspec.validate)
+    if not zspec.is_radial:
+        raise ConfigError("experiment.params.z", "perturbation must be radial")
+    deltas = _numbers("experiment.params.deltas", cfg.params["deltas"])
+    if min(deltas) <= 0 or len(set(deltas)) < len(deltas):  # Richardson divides by h1² - h2²
+        raise ConfigError("experiment.params.deltas", "deltas must be positive and distinct")
+
+
+def _check_product_energy(cfg: ExperimentConfig) -> None:
+    for k in ("alpha", "sigma"):
+        if number(f"experiment.params.{k}", cfg.params[k]) <= 0:
+            raise ConfigError(f"experiment.params.{k}", f"must be positive, got {cfg.params[k]}")
+
+
+def _check_orbit(cfg: ExperimentConfig) -> None:
+    integer("experiment.params.n_seeds", cfg.params["n_seeds"], 1)
+    if not isinstance(cfg.params["recenter"], (bool, type(None))):
+        raise ConfigError("experiment.params.recenter", "must be true or false")
+
+
+class Experiment(NamedTuple):
+    """What an experiment needs and how it runs."""
+
+    sections: tuple  # config sections that must be present
+    params: dict  # every param it accepts -> default (None: none; the check decides)
+    run: Callable[[ExperimentConfig, Path], tuple]  # -> (artifacts, converged flags)
+    check: Optional[Callable[[ExperimentConfig], None]] = None  # raises ConfigError
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "solve-free": Experiment(("radial_grid",), {}, _run_solve_free),
+    "solve-radial": Experiment(("radial_grid", "potential"), {}, _run_solve_radial, _check_radial),
+    "solve-full": Experiment(("grid", "potential"), {}, _run_solve_full),
+    "sweep-R": Experiment(("grid", "radial_grid"), {"R_list": None}, _run_sweep, _check_sweep),
+    "perturb": Experiment(("grid", "potential"), {"z": None, "deltas": (0.04, 0.02, 0.01)},
+                          _run_perturb, _check_perturb),
+    # alpha drives only alpha_scaling_defect: min_product_energy and
+    # square_completion_defect are computed at α = 1 whatever alpha is
+    "product-energy": Experiment(("grid", "kgrid"), {"alpha": 1.0, "sigma": 1.0},
+                                 _run_product_energy, _check_product_energy),
+    # recenter None: recenter unless the potential is the annular well
+    "orbit": Experiment(("grid", "potential"), {"n_seeds": 2, "recenter": None},
+                        _run_orbit, _check_orbit),
+}
+
+
+def _load(path) -> Optional[ExperimentConfig]:
+    try:
+        return ExperimentConfig.from_json(path)
+    except (ConfigError, OSError) as e:
+        print(f"invalid: {e}", file=sys.stderr)
+        return None
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json(args.config)
-    except (ConfigError, OSError) as e:
-        print(f"invalid: {e}", file=sys.stderr)
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
     print("ok")
     print(json.dumps(cfg.derived_report(), indent=2))
@@ -212,24 +250,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json(args.config)
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.workers is not None:
-            cfg.workers = int(args.workers)
-        if args.seed is not None:
-            cfg.rng_seed = int(args.seed)
-        if args.strict:
-            cfg.strict = True
-    except (ConfigError, OSError) as e:
-        print(f"invalid: {e}", file=sys.stderr)
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
-
+    if args.out is not None:
+        cfg.output_dir = args.out
+    if args.workers is not None:
+        cfg.workers = args.workers
+    if args.seed is not None:
+        cfg.rng_seed = args.seed
+    cfg.strict = cfg.strict or args.strict
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    arts, converged = run_experiment(cfg, out_dir)
+    arts, converged = EXPERIMENTS[cfg.experiment].run(cfg, out_dir)
     wall = time.time() - t0
     manifest = {
         "config": cfg.raw,

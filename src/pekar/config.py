@@ -1,6 +1,7 @@
 """Experiment configuration: one JSON file drives validation, hashing, runs.
 
-Schema (all sections optional unless an experiment needs them):
+Schema (a section is optional unless the experiment's entry in ``pekar.cli.EXPERIMENTS``
+needs it; that entry also declares the params):
 
     {
       "grid":        {"n": 128, "L": 48.0},
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Optional
 
@@ -29,16 +31,6 @@ from .fields import Grid3D, RadialGrid
 from .ansatz import KGrid
 from .minimize import SeedSpec, SolveOptions
 from .potentials import PotentialSpec
-
-EXPERIMENTS = (
-    "solve-free",
-    "solve-radial",
-    "solve-full",
-    "sweep-R",
-    "perturb",
-    "product-energy",
-    "orbit",
-)
 
 
 class ConfigError(ValueError):
@@ -49,10 +41,49 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require(data: dict, path: str, keys: tuple) -> None:
+def parsed(path: str, parse, *args):
+    """parse(*args), with a TypeError, ValueError or OverflowError from
+    malformed values turned into a ConfigError naming ``path``."""
+    try:
+        return parse(*args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(path, str(e)) from e
+
+
+def number(path: str, value) -> float:
+    """A finite JSON number (not a bool) as a float."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and parsed(path, math.isfinite, value)):
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(path: str, value, minimum: int) -> int:
+    """A JSON integer (not a bool) no smaller than ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(path, f"must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def check_in_box(path: str, R: float, grid: Grid3D) -> None:
+    """The annular well's outer edge R+1 must lie inside the inscribed ball."""
+    if R + 1 >= grid.L / 2:
+        raise ConfigError(path, f"potential exits box: R+1 = {R + 1} >= L/2 = {grid.L / 2}")
+
+
+def _section(data: dict, path: str, keys: tuple, build):
+    """build(*the section's values at keys), or None when the section is absent."""
+    if path not in data:
+        return None
+    sec = data[path]
+    if not isinstance(sec, dict):
+        raise ConfigError(path, "must be an object")
     for k in keys:
-        if k not in data:
+        if k not in sec:
             raise ConfigError(f"{path}.{k}", "missing required field")
+    return parsed(path, build, *(sec[k] for k in keys))
 
 
 @dataclass
@@ -72,80 +103,75 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        _require(data, "config", ("experiment",))
-        exp = data["experiment"]
-        if isinstance(exp, str):
-            exp = {"name": exp}
-        _require(exp, "experiment", ("name",))
-        name = exp["name"]
-        if name not in EXPERIMENTS:
-            raise ConfigError("experiment.name", f"unknown experiment {name!r}; one of {EXPERIMENTS}")
+        from .cli import EXPERIMENTS  # the registry sits next to its runners
 
-        grid = None
-        if "grid" in data:
-            _require(data["grid"], "grid", ("n", "L"))
-            try:
-                grid = Grid3D(int(data["grid"]["n"]), float(data["grid"]["L"]))
-            except ValueError as e:
-                raise ConfigError("grid", str(e)) from e
-        rgrid = None
-        if "radial_grid" in data:
-            _require(data["radial_grid"], "radial_grid", ("m", "r_max"))
-            try:
-                rgrid = RadialGrid(int(data["radial_grid"]["m"]), float(data["radial_grid"]["r_max"]))
-            except ValueError as e:
-                raise ConfigError("radial_grid", str(e)) from e
-        kgrid = None
-        if "kgrid" in data:
-            _require(data["kgrid"], "kgrid", ("n_k", "k_max"))
-            try:
-                kgrid = KGrid(int(data["kgrid"]["n_k"]), float(data["kgrid"]["k_max"]))
-            except ValueError as e:
-                raise ConfigError("kgrid", str(e)) from e
+        if not isinstance(data, dict):
+            raise ConfigError("config", "must be an object")
+        if "experiment" not in data:
+            raise ConfigError("config.experiment", "missing required field")
+        exp = data["experiment"]
+        exp = {"name": exp} if isinstance(exp, str) else exp
+        if not isinstance(exp, dict) or "name" not in exp:
+            raise ConfigError("experiment.name", "missing required field")
+        name = exp["name"]
+        if not isinstance(name, str) or name not in EXPERIMENTS:
+            raise ConfigError(
+                "experiment.name", f"unknown experiment {name!r}; one of {tuple(EXPERIMENTS)}"
+            )
+        entry = EXPERIMENTS[name]
+        given = exp.get("params", {})
+        if not isinstance(given, dict):
+            raise ConfigError("experiment.params", "must be an object")
+        for k in given:
+            if k not in entry.params:
+                raise ConfigError(
+                    f"experiment.params.{k}", f"{name!r} takes only {sorted(entry.params)}"
+                )
+
+        grid = _section(data, "grid", ("n", "L"), lambda n, L: Grid3D(int(n), float(L)))
+        rgrid = _section(
+            data, "radial_grid", ("m", "r_max"), lambda m, r: RadialGrid(int(m), float(r))
+        )
+        kgrid = _section(data, "kgrid", ("n_k", "k_max"), lambda n, k: KGrid(int(n), float(k)))
         pot = None
         if "potential" in data:
-            try:
-                pot = PotentialSpec(**data["potential"])
-                pot.validate()
-            except TypeError as e:
-                raise ConfigError("potential", str(e)) from e
-            except ValueError as e:
-                raise ConfigError("potential", str(e)) from e
+            pot = parsed("potential", lambda p: PotentialSpec(**p), data["potential"])
+            parsed("potential", pot.validate)
 
-        rng_seed = int(data.get("seed", 0))
-        solver_data = dict(data.get("solver", {}))
+        rng_seed = integer("seed", data.get("seed", 0), 0)
+        solver_data = parsed("solver", dict, data.get("solver", {}))
         seed_spec = SeedSpec(rng_seed=rng_seed)
         if "seed" in solver_data:
-            sd = dict(solver_data.pop("seed"))
+            sd = parsed("solver.seed", dict, solver_data.pop("seed"))
             sd.setdefault("rng_seed", rng_seed)
             if "direction" in sd:
-                sd["direction"] = tuple(sd["direction"])
-            try:
-                seed_spec = SeedSpec(**sd)
-                seed_spec.validate()
-            except (TypeError, ValueError) as e:
-                raise ConfigError("solver.seed", str(e)) from e
-        try:
-            solver = SolveOptions(seed=seed_spec, **solver_data)
-            solver.validate()
-        except (TypeError, ValueError) as e:
-            raise ConfigError("solver", str(e)) from e
+                sd["direction"] = parsed("solver.seed.direction", tuple, sd["direction"])
+            seed_spec = parsed("solver.seed", lambda: SeedSpec(**sd))
+            parsed("solver.seed", seed_spec.validate)
+        solver = parsed("solver", lambda: SolveOptions(seed=seed_spec, **solver_data))
+        parsed("solver", solver.validate)
 
         cfg = cls(
             experiment=name,
-            params=dict(exp.get("params", {})),
+            params={**entry.params, **given},
             grid=grid,
             radial_grid=rgrid,
             kgrid=kgrid,
             potential=pot,
             solver=solver,
             output_dir=str(data.get("output_dir", "out")),
-            workers=int(data.get("workers", 1)),
+            workers=integer("workers", data.get("workers", 1), 1),
             rng_seed=rng_seed,
             strict=bool(data.get("strict", False)),
             raw=data,
         )
-        cfg._cross_validate()
+        for section in entry.sections:
+            if getattr(cfg, section) is None:
+                raise ConfigError(section, f"experiment {name!r} requires the {section} section")
+        if pot is not None and grid is not None and pot.kind == "annular":
+            check_in_box("potential.R", pot.R, grid)
+        if entry.check is not None:
+            entry.check(cfg)
         return cfg
 
     @classmethod
@@ -157,69 +183,6 @@ class ExperimentConfig:
                 raise ConfigError("config", f"not valid JSON: {e}") from e
         return cls.from_dict(data)
 
-    # -- validation ----------------------------------------------------------
-
-    def _needs(self, what: str) -> None:
-        if getattr(self, what.replace("-", "_")) is None:
-            raise ConfigError(what, f"experiment {self.experiment!r} requires the {what} section")
-
-    def _cross_validate(self) -> None:
-        name = self.experiment
-        if name in ("solve-full", "sweep-R", "perturb", "orbit", "product-energy"):
-            self._needs("grid")
-        if name in ("solve-free", "solve-radial", "sweep-R"):
-            self._needs("radial_grid")
-        if name == "product-energy":
-            self._needs("kgrid")
-        if name in ("solve-radial", "solve-full", "perturb", "orbit"):
-            if self.potential is None:
-                raise ConfigError("potential", f"experiment {name!r} requires a potential")
-        if self.potential is not None and self.grid is not None:
-            if self.potential.kind == "annular" and self.potential.R + 1 >= self.grid.L / 2:
-                raise ConfigError(
-                    "potential.R",
-                    f"potential exits box: R+1 = {self.potential.R + 1} >= L/2 = {self.grid.L / 2}",
-                )
-        if self.potential is not None and self.experiment == "solve-radial":
-            if not self.potential.is_radial:
-                raise ConfigError("potential.kind", "radial solve needs a radial potential")
-        if name == "sweep-R":
-            rl = self.params.get("R_list")
-            if not rl:
-                raise ConfigError("experiment.params.R_list", "missing or empty")
-            for i, R in enumerate(rl):
-                if R <= 2:
-                    raise ConfigError(f"experiment.params.R_list[{i}]", f"R must exceed 2, got {R}")
-                if self.grid is not None and R + 1 >= self.grid.L / 2:
-                    raise ConfigError(
-                        f"experiment.params.R_list[{i}]",
-                        f"potential exits box: R+1 = {R + 1} >= L/2 = {self.grid.L / 2}",
-                    )
-        if name == "perturb":
-            z = self.params.get("z")
-            if not z:
-                raise ConfigError("experiment.params.z", "missing perturbation spec")
-            try:
-                zspec = PotentialSpec(**z)
-                zspec.validate()
-            except (TypeError, ValueError) as e:
-                raise ConfigError("experiment.params.z", str(e)) from e
-            if not zspec.is_radial:
-                raise ConfigError("experiment.params.z", "perturbation must be radial")
-            deltas = self.params.get("deltas", [0.04, 0.02, 0.01])
-            if any(d <= 0 for d in deltas):
-                raise ConfigError("experiment.params.deltas", "deltas must be positive")
-        if name == "orbit":
-            ns = self.params.get("n_seeds", 2)
-            if ns < 1:
-                raise ConfigError("experiment.params.n_seeds", "must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers", "must be >= 1")
-
-    def z_spec(self) -> Optional[PotentialSpec]:
-        z = self.params.get("z")
-        return PotentialSpec(**z) if z else None
-
     # -- reporting -----------------------------------------------------------
 
     def config_hash(self) -> str:
@@ -228,29 +191,16 @@ class ExperimentConfig:
 
     def derived_report(self) -> dict:
         rep: dict[str, Any] = {"experiment": self.experiment}
-        if self.grid is not None:
-            n = self.grid.n
+        g, rg, kg = self.grid, self.radial_grid, self.kgrid
+        if g is not None:
+            n = g.n
             pad_bytes = (2 * n) ** 3 * 8 + (2 * n) ** 2 * (n + 1) * 16 * 2
-            rep["grid"] = {
-                "n": n,
-                "L": self.grid.L,
-                "dx": self.grid.dx,
-                "inscribed_radius": self.grid.L / 2,
-                "memory_estimate_bytes": int(pad_bytes + 4 * n**3 * 8),
-            }
-        if self.radial_grid is not None:
-            rep["radial_grid"] = {
-                "m": self.radial_grid.m,
-                "r_max": self.radial_grid.r_max,
-                "dr": self.radial_grid.dr,
-            }
-        if self.kgrid is not None:
-            rep["kgrid"] = {
-                "n_k": self.kgrid.n_k,
-                "k_max": self.kgrid.k_max,
-                "dk": self.kgrid.dk,
-                "modes": self.kgrid.n_k**3,
-            }
+            rep["grid"] = {"n": n, "L": g.L, "dx": g.dx, "inscribed_radius": g.L / 2,
+                           "memory_estimate_bytes": int(pad_bytes + 4 * n**3 * 8)}
+        if rg is not None:
+            rep["radial_grid"] = {"m": rg.m, "r_max": rg.r_max, "dr": rg.dr}
+        if kg is not None:
+            rep["kgrid"] = {"n_k": kg.n_k, "k_max": kg.k_max, "dk": kg.dk, "modes": kg.n_k**3}
         if self.potential is not None:
             p = {"kind": self.potential.kind}
             if self.potential.kind == "annular":
@@ -265,7 +215,5 @@ class ExperimentConfig:
             "tolerance_residual": self.solver.tolerance_residual,
             "seed_kind": self.solver.seed.kind,
         }
-        rep["workers"] = self.workers
-        rep["rng_seed"] = self.rng_seed
-        rep["strict"] = self.strict
+        rep.update(workers=self.workers, rng_seed=self.rng_seed, strict=self.strict)
         return rep

@@ -101,22 +101,11 @@ class DerivativeReport:
     flagged: bool
 
     def as_rows(self) -> list:
-        rows = []
-        for i, d in enumerate(self.deltas):
-            rows.append(
-                {
-                    "delta": d,
-                    "e_plus": self.e_plus[i],
-                    "e_minus": self.e_minus[i],
-                    "forward": self.forward[i],
-                    "backward": self.backward[i],
-                    "central": self.central[i],
-                    "pairing": self.pairing,
-                    "richardson": self.richardson,
-                    "defect": self.defect,
-                }
-            )
-        return rows
+        shared = {"pairing": self.pairing, "richardson": self.richardson, "defect": self.defect}
+        keys = ("delta", "e_plus", "e_minus", "forward", "backward", "central")
+        per_delta = zip(self.deltas, self.e_plus, self.e_minus,
+                        self.forward, self.backward, self.central)
+        return [{**dict(zip(keys, vals)), **shared} for vals in per_delta]
 
 
 @dataclass
@@ -175,8 +164,9 @@ def sweep_R(
     lump basin that sits above the radial minimum; the driver then re-solves
     from the lifted radial minimizer and keeps the lower of the two, so
     e_full ≤ e_rad holds across the whole sweep up to discretization differences.
+    Q, and with it the seed and the trial bound, is solved on ``rgrid``.
     """
-    free = solve_free()
+    free = solve_free(rgrid)
 
     def run_one(R: float) -> SweepRow:
         spec = PotentialSpec(kind="annular", R=R)
@@ -197,7 +187,7 @@ def sweep_R(
             R=R,
             e_full=full.energy.total,
             e_rad=rad.energy.total,
-            trial_bound=free.energy.total - potential_energy(V, seed.density()),
+            trial_bound=trial_upper_bound(R, grid, rgrid),
             well_mass=mass_in_well(rho, R),
             anisotropy=float(np.linalg.norm(center_of_mass(rho))),
             full_converged=full.converged,
@@ -239,6 +229,8 @@ def fd_derivative(
     differentiable (the sup/inf pairings over the minimizer set differ),
     so no derivative is claimed there.
     """
+    if not deltas:
+        raise ValueError("deltas must be non-empty")
     Zspec.validate()
     if not Zspec.is_radial:
         raise ValueError("derivative checks require a radial perturbation Z")

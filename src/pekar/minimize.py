@@ -12,6 +12,7 @@ stiffness without touching the monotonicity contract.
 
 from __future__ import annotations
 
+import operator
 import threading
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -42,11 +43,19 @@ DEFAULT_RADIAL_GRID = RadialGrid(4096, 24.0)
 FREE_SEED_SIGMA = 2.66  # near-optimal Gaussian width for the free problem
 
 
+# Armijo backtracking
+STEP_INIT, STEP_MAX = 1.0, 8.0  # the first and the largest trial step
+ARMIJO_C = 1e-4  # sufficient-decrease constant
+BACKTRACK_SHRINK, BACKTRACK_GROW = 0.5, 1.4  # step factor after a rejected, an accepted trial
+MAX_BACKTRACKS = 60  # rejected trials before the solve counts as stalled
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Initial iterate recipe.
 
-    kinds: radial_gaussian | translated_q | random_perturbed | custom
+    kinds: radial_gaussian | translated_q | random_perturbed; pass any
+    other start as ``seed_field=`` to the solver
     """
 
     kind: str = "radial_gaussian"
@@ -55,39 +64,29 @@ class SeedSpec:
     direction: tuple = (1.0, 0.0, 0.0)
     amplitude: float = 0.05  # random_perturbed: relative noise level
     rng_seed: int = 0
-    field: Optional[object] = None  # custom: Field3D or RadialField
 
     def validate(self) -> None:
-        if self.kind not in ("radial_gaussian", "translated_q", "random_perturbed", "custom"):
+        if self.kind not in ("radial_gaussian", "translated_q", "random_perturbed"):
             raise ValueError(f"unknown seed kind {self.kind!r}")
         if self.kind == "translated_q" and self.R is None:
             raise ValueError("translated_q seed needs R")
-        if self.kind == "custom" and self.field is None:
-            raise ValueError("custom seed needs a field")
+        d = np.asarray(self.direction, dtype=np.float64)
+        if d.shape != (3,) or not np.all(np.isfinite(d)) or not d.any():
+            raise ValueError(f"direction must be 3 finite numbers, not all 0; got {self.direction}")
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 50000
-    step_init: float = 1.0
     tolerance_energy: float = 1e-9
     tolerance_residual: float = 1e-5
     seed: SeedSpec = dc_field(default_factory=SeedSpec)
-    armijo_c: float = 1e-4
-    backtrack_shrink: float = 0.5
-    backtrack_grow: float = 1.4
-    step_max: float = 8.0
-    max_backtracks: int = 60
-    precondition: bool = True
-    precond_shift: Optional[float] = None  # default: max(0.25, 2|μ_seed|)
 
     def validate(self) -> None:
-        if self.max_iters < 0:
+        if operator.index(self.max_iters) < 0:
             raise ValueError("max_iters must be >= 0")
         if self.tolerance_energy <= 0 or self.tolerance_residual <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0 < self.backtrack_shrink < 1):
-            raise ValueError("backtrack_shrink must be in (0,1)")
         self.seed.validate()
 
 
@@ -161,24 +160,16 @@ def random_perturbed_seed(
 
 def build_seed(spec: SeedSpec, grid: Grid3D) -> Field3D:
     spec.validate()
-    if spec.kind == "radial_gaussian":
-        return radial_gaussian_seed(grid, spec.sigma)
     if spec.kind == "translated_q":
-        Q = solve_free().psi
-        return translate_seed(Q, spec.R, grid, spec.direction)
+        return translate_seed(solve_free().psi, spec.R, grid, spec.direction)
     if spec.kind == "random_perturbed":
         return random_perturbed_seed(grid, spec.sigma, spec.amplitude, spec.rng_seed)
-    f = spec.field
-    if isinstance(f, Field3D):
-        return normalize(f)
-    raise ValueError("custom 3D seed must be a Field3D")
+    return radial_gaussian_seed(grid, spec.sigma)
 
 
 def build_radial_seed(spec: SeedSpec, rgrid: RadialGrid) -> RadialField:
     spec.validate()
     r = rgrid.nodes()
-    if spec.kind == "radial_gaussian":
-        return normalize_radial(RadialField(rgrid, np.exp(-(r**2) / (4 * spec.sigma**2))))
     if spec.kind == "translated_q":
         # radial problem cannot hold an off-center lump; use a shell at ζ instead
         zeta = (spec.R + 2.0) / 2.0
@@ -190,10 +181,7 @@ def build_radial_seed(spec: SeedSpec, rgrid: RadialGrid) -> RadialField:
         for j in range(1, 6):
             modes += rng.standard_normal() / j * np.cos(j * np.pi * r / rgrid.r_max)
         return normalize_radial(RadialField(rgrid, base * (1.0 + spec.amplitude * modes)))
-    f = spec.field
-    if isinstance(f, RadialField):
-        return normalize_radial(f)
-    raise ValueError("custom radial seed must be a RadialField")
+    return normalize_radial(RadialField(rgrid, np.exp(-(r**2) / (4 * spec.sigma**2))))
 
 
 def flat_seed(rgrid: RadialGrid) -> RadialField:
@@ -240,8 +228,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
     check_coercivity(bd, "seed evaluation")
     history = [bd.total]
     norms = [float(np.sqrt(F.inner(psi, psi)))]
-    step = opts.step_init
-    shift = opts.precond_shift
+    step = STEP_INIT
     direction = None
     # a warm start already at the stationary point should return immediately
     last_dE = 0.0
@@ -252,30 +239,23 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
 
     for it in range(opts.max_iters):
-        el, res, g = F.residual(psi, bd, spectra)
+        el, _, g = F.residual(psi, bd, spectra)
         if done():
             break
-        if shift is None:
-            shift = max(0.25, 2 * abs(el.mu))
-        decr = 0.0
-        if opts.precondition:
-            if direction is None:
-                direction = preconditioner(F, shift)
-            d, decr = direction(psi, g)
-        if decr <= 0:
-            d = 2 * res
-            decr = F.inner(d, d)
+        if direction is None:  # the shift is fixed by the seed's μ
+            direction = preconditioner(F, max(0.25, 2 * abs(el.mu)))
+        d, decr = direction(psi, g)
 
         s = step
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = psi - s * d
             nrm = np.sqrt(F.inner(cand, cand))
             if nrm > 0:
                 cand /= nrm
                 bd_t, spectra_t = F.evaluate(cand)
-                if bd_t.total <= bd.total - opts.armijo_c * s * decr:
+                if bd_t.total <= bd.total - ARMIJO_C * s * decr:
                     break
-            s *= opts.backtrack_shrink
+            s *= BACKTRACK_SHRINK
         else:
             stalled = True
             break
@@ -284,7 +264,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         psi, bd, spectra = cand, bd_t, spectra_t
         history.append(bd.total)
         norms.append(float(np.sqrt(F.inner(psi, psi))))
-        step = min(s * opts.backtrack_grow, opts.step_max)
+        step = min(s * BACKTRACK_GROW, STEP_MAX)
         if done():  # el is still the residual of the iterate before this step
             break
 
@@ -348,16 +328,12 @@ def solve_free(
     if opts is None:
         opts = SolveOptions(tolerance_residual=1e-6)
     key = (rgrid, opts)
-    try:
-        with _free_lock:
-            hit = _free_cache.get(key)
-    except TypeError:  # a custom seed holds a RadialField, which has no hash
-        key = hit = None
+    with _free_lock:
+        hit = _free_cache.get(key)
     if hit is None:
         hit = minimize_radial(RadialField(rgrid, np.zeros(rgrid.m)), opts)
         if float(np.sum(hit.psi.values)) < 0:
             hit.psi = RadialField(rgrid, -hit.psi.values)
-        if key is not None:
-            with _free_lock:
-                hit = _free_cache.setdefault(key, hit)
+        with _free_lock:
+            hit = _free_cache.setdefault(key, hit)
     return hit

@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from pekar.cli import main
+from pekar.cli import EXPERIMENTS, main
+from pekar.config import ExperimentConfig
 from pekar.fields import load_field
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -68,6 +73,34 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            # an empty δ list used to fail in run, after the base solve
+            (lambda d: d["experiment"]["params"].update(deltas=[]), "experiment.params.deltas"),
+            # a seed kind that exists only as the solver's seed_field argument
+            (lambda d: d["solver"].update(seed={"kind": "custom", "field": [0.0]}), "solver.seed"),
+        ],
+    )
+    def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edit, path):
+        data = solve_full_cfg(str(tmp_path / "out"))
+        data["experiment"] = {"name": "perturb", "params": {"z": {"kind": "constant", "value": 1.0}}}
+        edit(data)
+        assert main(["validate", "--config", write_cfg(tmp_path, data)]) == 2
+        assert path in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_example_config_parses(self):
+        text = README.read_text()
+        example = re.search(r"Example config:\s*```json\n(.*?)```", text, re.S).group(1)
+        cfg = ExperimentConfig.from_dict(json.loads(example))
+        assert cfg.experiment in EXPERIMENTS
+
+    def test_experiments_list_matches_registry(self):
+        listed = re.search(r"^Experiments:(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
+        assert re.findall(r"`([^`]+)`", listed) == list(EXPERIMENTS)
 
 
 class TestRunSolveFree:

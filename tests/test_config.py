@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pekar.cli import EXPERIMENTS
 from pekar.config import ConfigError, ExperimentConfig
 
 
@@ -74,6 +76,66 @@ class TestValidation:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_json(p)
+
+    def test_undeclared_param_rejected(self):
+        with pytest.raises(ConfigError, match=r"params\.sigmaa.*takes only"):
+            ExperimentConfig.from_dict(
+                make(experiment={"name": "product-energy", "params": {"sigmaa": 1.0}})
+            )
+
+    def test_declared_defaults_filled_in(self):
+        cfg = ExperimentConfig.from_dict(make(experiment={"name": "orbit"}))
+        assert cfg.params == {"n_seeds": 2, "recenter": None}
+
+
+# the params each experiment needs before any other param can be varied
+REQUIRED_PARAMS = {"sweep-R": {"R_list": [4.0]}, "perturb": {"z": {"kind": "constant", "value": 1.0}}}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+# (experiment, key): every declared param of every experiment, then the
+# top-level workers and seed
+SLOTS = [(name, p) for name, e in EXPERIMENTS.items() for p in e.params]
+SLOTS += [("solve-full", "workers"), ("solve-full", "seed")]
+
+
+def placed(name: str, key: str, value) -> dict:
+    params = dict(REQUIRED_PARAMS.get(name, {}))
+    data = make(experiment={"name": name, "params": params})
+    if key in ("workers", "seed"):
+        data[key] = value
+    else:
+        params[key] = value
+    return data
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "name, key, value, path",
+        [
+            ("orbit", "n_seeds", "2", "experiment.params.n_seeds"),
+            ("sweep-R", "R_list", [4.0, "x"], r"experiment.params.R_list\[1\]"),
+            ("sweep-R", "R_list", 6, "experiment.params.R_list"),
+            ("perturb", "deltas", "ab", "experiment.params.deltas"),
+            ("solve-full", "workers", "two", "workers"),
+            ("solve-full", "seed", "x", "seed"),
+        ],
+    )
+    def test_named_config_error(self, name, key, value, path):
+        with pytest.raises(ConfigError, match=f"^{path}:"):
+            ExperimentConfig.from_dict(placed(name, key, value))
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(slot=st.sampled_from(SLOTS), value=JSON_VALUES)
+    def test_any_json_value_parses_or_raises_config_error(self, slot, value):
+        try:
+            ExperimentConfig.from_dict(placed(*slot, value))
+        except ConfigError:
+            pass
 
 
 class TestDerivedReport:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,14 @@ class TestFdDerivative:
         iters = [c[2] for c in calls]
         assert sum(iters[2:]) < sum(iters[:2])
 
+    def test_empty_deltas_rejected_before_the_base_solve(self, grid_R4, monkeypatch):
+        import pekar.experiments as exp
+
+        monkeypatch.setattr(exp, "minimize", lambda *a, **k: pytest.fail("base solve started"))
+        V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
+        with pytest.raises(ValueError, match="deltas must be non-empty"):
+            fd_derivative(V, PotentialSpec(kind="constant", value=1.0), grid_R4, OPTS, deltas=[])
+
     def test_nonradial_perturbation_rejected(self, grid_R4):
         V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
         with pytest.raises(ValueError, match="radial"):
@@ -205,7 +215,8 @@ class TestOrbitEvidence:
 class TestSweep:
     def test_rows_satisfy_ordering_invariants(self, grid_R4):
         rg = RadialGrid(1024, np.sqrt(3) / 2 * grid_R4.L + 0.5)
-        rows = sweep_R([4.0, 5.0], grid_R4, rg, OPTS)
+        # from the translate of Q solved on rg, the R=5 solve takes 413 steps
+        rows = sweep_R([4.0, 5.0], grid_R4, rg, replace(OPTS, max_iters=600))
         assert len(rows) == 2
         for row in rows:
             assert not row.flagged
@@ -215,6 +226,12 @@ class TestSweep:
             assert 0.0 <= row.well_mass <= 1.0
         # deeper well binds harder
         assert rows[1].e_full < rows[0].e_full
+
+    def test_trial_bound_from_the_sweep_radial_grid(self):
+        # Q, its translate and the bound all come from rgrid, not the default radial grid
+        grid, rg = Grid3D(32, 20.0), RadialGrid(512, 18.0)
+        (row,) = sweep_R([4.0], grid, rg, SolveOptions(max_iters=5))
+        assert row.trial_bound == trial_upper_bound(4.0, grid, rg)
 
     def test_workers_give_identical_rows(self, grid_R4):
         rg = RadialGrid(1024, np.sqrt(3) / 2 * grid_R4.L + 0.5)

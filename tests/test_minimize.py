@@ -77,9 +77,6 @@ class TestRadialFreeProblem:
         short = solve_free(rg, replace(o, max_iters=3))
         assert full.converged and not short.converged
         assert short.iterations == 3
-        # a custom seed is unhashable: solved each time, never cached
-        custom = replace(o, seed=SeedSpec(kind="custom", field=short.psi))
-        assert solve_free(rg, custom) is not solve_free(rg, custom)
 
     def test_flat_seed_converges_monotone(self):
         rg = RadialGrid(1024, 20.0)
@@ -252,3 +249,14 @@ class TestOptions:
     def test_translated_q_needs_R(self):
         with pytest.raises(ValueError, match="needs R"):
             SeedSpec(kind="translated_q").validate()
+
+    @pytest.mark.parametrize(
+        "direction", [(0.0, 0.0, 0.0), (1.0, 0.0), (1.0, float("nan"), 0.0), ("x", 0, 0)]
+    )
+    def test_bad_direction_rejected(self, direction):
+        with pytest.raises(ValueError):
+            SeedSpec(direction=direction).validate()
+
+    def test_fractional_max_iters_rejected(self):
+        with pytest.raises(TypeError):
+            SolveOptions(max_iters=2.5).validate()

@@ -23,10 +23,8 @@ from .energy import (
     el_residual,
     energy_gradient,
     free_energy,
-    hamiltonian_apply,
     pekar_energy,
     radial_el_residual,
-    radial_free_energy,
     radial_pekar_energy,
 )
 from .fields import (

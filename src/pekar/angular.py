@@ -16,7 +16,7 @@ hold to rounding rather than to interpolation accuracy.
 
 from __future__ import annotations
 
-import threading
+import functools
 
 import numpy as np
 from scipy.integrate import lebedev_rule
@@ -24,9 +24,6 @@ from scipy.integrate import lebedev_rule
 from .fields import Field3D, Grid3D, RadialField, RadialGrid
 
 _LEBEDEV_ORDER = 35
-
-_shell_cache: dict = {}
-_shell_lock = threading.Lock()
 
 
 def _lebedev(order: int = _LEBEDEV_ORDER) -> tuple:
@@ -103,27 +100,23 @@ def lift_radial(u: RadialField, grid: Grid3D) -> Field3D:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _shell_index(grid: Grid3D) -> tuple:
-    """Inverse indices and counts of the exact |x|-orbits of the cell lattice.
+    """Inverse indices, counts and radii of the exact |x|-orbits of the cell
+    lattice, computed once per grid and read-only.
 
     With centers at ((2i+1-n)/2)·dx per axis, |x|² is (dx²/4)·(odd²+odd²+odd²),
     an integer label that groups cells into exact shells.
     """
-    key = (grid.n, grid.L)
-    with _shell_lock:
-        hit = _shell_cache.get(key)
-    if hit is not None:
-        return hit
     n = grid.n
     c = (2 * np.arange(n) + 1 - n).astype(np.int64)  # odd integers, 2x/dx
     s2 = c * c
     lab = s2[:, None, None] + s2[None, :, None] + s2[None, None, :]
     uniq, inverse, counts = np.unique(lab.ravel(), return_inverse=True, return_counts=True)
     radii = np.sqrt(uniq.astype(np.float64)) * grid.dx / 2
-    out = (inverse, counts, radii)
-    with _shell_lock:
-        _shell_cache[key] = out
-    return out
+    for a in (inverse, counts, radii):
+        a.flags.writeable = False
+    return inverse, counts, radii
 
 
 def shell_project(f: Field3D) -> Field3D:

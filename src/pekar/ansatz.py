@@ -50,34 +50,27 @@ def _corner_cell_value() -> float:
 _J_CORNER = _corner_cell_value()
 
 
-def _cell_integrals(n_half: int) -> dict:
-    """∫_cell du/|u|² over unit cells centered at half-integer triples.
+def _cell_integrals(n_half: int) -> np.ndarray:
+    """∫_cell du/|u|² over the unit cells of the positive octant, as an
+    (n_half)³ array: entry (a, b, c) is the cell centered at (a, b, c) + 1/2.
 
-    Keys are sorted odd-integer triples (twice the center components);
-    values are the cell integrals in dk = 1 units.
+    Each cell is integrated with its center components sorted in
+    descending order, so mirror cells share one arithmetic and the table
+    is exactly invariant under the cube symmetries.
     """
-    odds = np.arange(1, 2 * n_half, 2)
+    odds = np.arange(1, 2 * n_half, 2)  # twice the center components
     xg, wg = leggauss(_GL_ORDER)
-    keys = []
-    centers = []
-    for i in odds:
-        for j in odds[odds <= i]:
-            for k in odds[odds <= j]:
-                keys.append((int(i), int(j), int(k)))
-                centers.append((i / 2.0, j / 2.0, k / 2.0))
-    centers = np.asarray(centers)  # (K, 3)
+    trip = np.stack(np.meshgrid(odds, odds, odds, indexing="ij"), axis=-1)
+    trip.sort(axis=-1)
+    cx, cy, cz = np.moveaxis(trip[..., ::-1] / 2.0, -1, 0)
     offs = 0.5 * xg  # cell is center + [-1/2, 1/2]
     W3 = 0.125 * np.einsum("i,j,k->ijk", wg, wg, wg).ravel()
     OX, OY, OZ = np.meshgrid(offs, offs, offs, indexing="ij")
-    ox, oy, oz = OX.ravel(), OY.ravel(), OZ.ravel()
-    vals = np.zeros(len(keys))
-    for idx in range(len(ox)):
-        px = centers[:, 0] + ox[idx]
-        py = centers[:, 1] + oy[idx]
-        pz = centers[:, 2] + oz[idx]
-        vals += W3[idx] / (px * px + py * py + pz * pz)
-    table = dict(zip(keys, vals))
-    table[(1, 1, 1)] = _J_CORNER  # singular corner cell, closed form
+    table = np.zeros((n_half,) * 3)
+    for w, ox, oy, oz in zip(W3, OX.ravel(), OY.ravel(), OZ.ravel()):
+        px, py, pz = cx + ox, cy + oy, cz + oz
+        table += w / (px * px + py * py + pz * pz)
+    table[0, 0, 0] = _J_CORNER  # singular corner cell, closed form
     return table
 
 
@@ -85,18 +78,8 @@ def _cell_integrals(n_half: int) -> dict:
 def _unit_cell_inv_k2(n_k: int) -> np.ndarray:
     """The cell integrals on the n_k³ mode grid in dk = 1 units, read-only:
     they depend on n_k alone, so every KGrid of that size shares them."""
-    table = _cell_integrals(n_k // 2)
-    odd = np.abs((2 * np.arange(n_k) + 1 - n_k).astype(np.int64))
-    I, J, K = np.meshgrid(odd, odd, odd, indexing="ij")
-    trip = np.stack([I, J, K], axis=-1)
-    trip.sort(axis=-1)
-    keys = trip[..., ::-1].reshape(-1, 3)
-    flat = np.fromiter(
-        (table[(int(a), int(b), int(c))] for a, b, c in keys),
-        dtype=np.float64,
-        count=len(keys),
-    )
-    out = flat.reshape((n_k,) * 3)
+    o = np.abs(2 * np.arange(n_k) + 1 - n_k) // 2  # octant index of each axis cell
+    out = _cell_integrals(n_k // 2)[np.ix_(o, o, o)]
     out.flags.writeable = False
     return out
 
@@ -153,10 +136,6 @@ class PhononDisplacement:
         self.z = np.asarray(self.z, dtype=np.complex128)
         if self.z.shape != self.kgrid.shape:
             raise ValueError(f"z shape {self.z.shape} does not match kgrid {self.kgrid.shape}")
-
-    def norm2(self) -> float:
-        """∫ |z(k)|² dk with the grid's quadrature weights."""
-        return float(np.sum(self.kgrid.weights() * np.abs(self.z) ** 2))
 
 
 def coupling_constant(alpha: float) -> float:

@@ -16,6 +16,7 @@ import json
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -152,7 +153,7 @@ def _run_orbit(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     if recenter is None:
         recenter = cfg.potential.kind != "annular"
     rep = rotation_orbit_evidence(cfg.potential, cfg.params["n_seeds"], cfg.grid, cfg.solver,
-                                  rng_seed=cfg.rng_seed, recenter=recenter)
+                                  rng_seed=cfg.rng_seed, recenter=recenter, rgrid=cfg.radial_grid)
     rows = [
         {"seed_index": i, "energy": e, "converged": c}
         for i, (e, c) in enumerate(zip(rep.energies, rep.converged))
@@ -232,9 +233,14 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def _load(path) -> Optional[ExperimentConfig]:
+def _load(path, seed: Optional[int] = None) -> Optional[ExperimentConfig]:
+    """The parsed config; a ``seed`` acts as the file's top-level ``seed``
+    (the solver seed's ``rng_seed`` included), while ``raw`` stays the file's."""
     try:
-        return ExperimentConfig.from_json(path)
+        cfg = ExperimentConfig.from_json(path)
+        if seed is not None:
+            cfg = replace(ExperimentConfig.from_dict({**cfg.raw, "seed": seed}), raw=cfg.raw)
+        return cfg
     except (ConfigError, OSError) as e:
         print(f"invalid: {e}", file=sys.stderr)
         return None
@@ -250,15 +256,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args.config, args.seed)
     if cfg is None:
         return 2
     if args.out is not None:
         cfg.output_dir = args.out
     if args.workers is not None:
         cfg.workers = args.workers
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
     cfg.strict = cfg.strict or args.strict
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

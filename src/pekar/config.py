@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Optional
 
-from .fields import Grid3D, RadialGrid
+from .fields import Grid3D, RadialGrid, finite_real
 from .ansatz import KGrid
 from .minimize import SeedSpec, SolveOptions
 from .potentials import PotentialSpec
@@ -54,10 +53,7 @@ def parsed(path: str, parse, *args):
 
 def number(path: str, value) -> float:
     """A finite JSON number (not a bool) as a float."""
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (is_number and parsed(path, math.isfinite, value)):
-        raise ConfigError(path, f"must be a finite number, got {value!r}")
-    return float(value)
+    return parsed(path, finite_real, "value", value)
 
 
 def integer(path: str, value, minimum: int) -> int:

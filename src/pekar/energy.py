@@ -167,14 +167,6 @@ def free_energy(psi: Field3D) -> float:
     return b.kinetic - b.coulomb
 
 
-def hamiltonian_apply(
-    psi: Field3D, V: Field3D | None = None, include_coulomb: bool = True
-) -> Field3D:
-    """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ with Φ_ρ from the padded free-space kernel."""
-    F = BoxFunctional(psi.grid, V)
-    return Field3D(psi.grid, F.hamiltonian(psi.values, coulomb=include_coulomb))
-
-
 def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
     F = BoxFunctional(psi.grid, V)
@@ -191,11 +183,6 @@ def el_residual(
 
 def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> EnergyBreakdown:
     return RadialFunctional(u.grid, Vr).evaluate(u.values)[0]
-
-
-def radial_free_energy(u: RadialField) -> float:
-    b = radial_pekar_energy(u, None)
-    return b.kinetic - b.coulomb
 
 
 def radial_el_residual(u: RadialField, Vr: RadialField | None = None) -> ELResidual:

@@ -138,7 +138,7 @@ def center_of_mass(rho: Field3D) -> np.ndarray:
 
 def trial_upper_bound(R: float, grid: Grid3D, rgrid: Optional[RadialGrid] = None) -> float:
     """e(0) - ∫ V_R |Q_R|², the variational bound from the translated Q."""
-    free = solve_free() if rgrid is None else solve_free(rgrid)
+    free = solve_free(rgrid)
     QR = translate_seed(free.psi, R, grid)
     VR = PotentialSpec(kind="annular", R=R).build(grid)
     return free.energy.total - potential_energy(VR, QR.density())
@@ -319,10 +319,12 @@ def rotation_orbit_evidence(
     rng_seed: int = 0,
     recenter: bool = False,
     profile_grid: Optional[RadialGrid] = None,
+    rgrid: Optional[RadialGrid] = None,
 ) -> OrbitReport:
     """Solve from several random-direction seeds; compare energies and
     spherical-average density profiles.  Agreement is evidence (never
-    proof) that the minimizers form one rotation orbit."""
+    proof) that the minimizers form one rotation orbit.  The annular
+    well's seeds translate Q solved on ``rgrid`` (default grid if None)."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     rng = np.random.default_rng(rng_seed)
@@ -332,7 +334,7 @@ def rotation_orbit_evidence(
         if Vspec.kind == "annular":
             d = rng.standard_normal(3)
             d /= np.linalg.norm(d)
-            seed = translate_seed(solve_free().psi, Vspec.R, grid, direction=tuple(d))
+            seed = translate_seed(solve_free(rgrid).psi, Vspec.R, grid, direction=tuple(d))
         else:
             seed = build_seed(
                 SeedSpec(kind="random_perturbed", rng_seed=int(rng.integers(2**31))), grid

@@ -14,6 +14,8 @@ chosen nonnegative, and every energy term only sees |ψ|².
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +28,13 @@ class DegenerateFieldError(ValueError):
 
 class BoundarySupportWarning(UserWarning):
     """A density carries non-negligible mass near the box boundary."""
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ stiffness without touching the monotonicity contract.
 
 from __future__ import annotations
 
+import functools
 import operator
-import threading
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -34,6 +34,7 @@ from .fields import (
     Grid3D,
     RadialField,
     RadialGrid,
+    finite_real,
     normalize,
     normalize_radial,
 )
@@ -70,6 +71,8 @@ class SeedSpec:
             raise ValueError(f"unknown seed kind {self.kind!r}")
         if self.kind == "translated_q" and self.R is None:
             raise ValueError("translated_q seed needs R")
+        for name in ("sigma", "amplitude") + (("R",) if self.R is not None else ()):
+            finite_real(name, getattr(self, name))
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3,) or not np.all(np.isfinite(d)) or not d.any():
             raise ValueError(f"direction must be 3 finite numbers, not all 0; got {self.direction}")
@@ -312,28 +315,29 @@ def minimize_radial(
 # the free problem and its cached minimizer Q
 # --------------------------------------------------------------------------
 
-_free_cache: dict = {}
-_free_lock = threading.Lock()
-
 
 def solve_free(
-    rgrid: RadialGrid = DEFAULT_RADIAL_GRID,
+    rgrid: Optional[RadialGrid] = None,
     opts: Optional[SolveOptions] = None,
 ) -> MinimizerResult:
     """Radial minimizer Q of the free problem; sign-fixed nonnegative, cached.
 
     The value e(0) is negative and Q is non-increasing in r (symmetric
-    decreasing minimizer).
+    decreasing minimizer).  Every caller with the same grid and options
+    shares one result, so its arrays are read-only.
     """
+    if rgrid is None:
+        rgrid = DEFAULT_RADIAL_GRID
     if opts is None:
         opts = SolveOptions(tolerance_residual=1e-6)
-    key = (rgrid, opts)
-    with _free_lock:
-        hit = _free_cache.get(key)
-    if hit is None:
-        hit = minimize_radial(RadialField(rgrid, np.zeros(rgrid.m)), opts)
-        if float(np.sum(hit.psi.values)) < 0:
-            hit.psi = RadialField(rgrid, -hit.psi.values)
-        with _free_lock:
-            hit = _free_cache.setdefault(key, hit)
-    return hit
+    return _solve_free(rgrid, opts)
+
+
+@functools.cache
+def _solve_free(rgrid: RadialGrid, opts: SolveOptions) -> MinimizerResult:
+    res = minimize_radial(RadialField(rgrid, np.zeros(rgrid.m)), opts)
+    if float(np.sum(res.psi.values)) < 0:
+        res = replace(res, psi=RadialField(rgrid, -res.psi.values))
+    for a in (res.psi.values, res.history, res.norm_history):
+        a.flags.writeable = False
+    return res

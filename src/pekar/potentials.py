@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import shell_project
-from .fields import Field3D, Grid3D, RadialField, RadialGrid
+from .fields import Field3D, Grid3D, RadialField, RadialGrid, finite_real
 
 
 def smooth_ramp(t: np.ndarray) -> np.ndarray:
@@ -78,6 +78,8 @@ class PotentialSpec:
     def validate(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        for name in ("R", "lam", "value", "center", "width", "amplitude"):
+            finite_real(name, getattr(self, name))
         if self.kind == "annular":
             if self.R <= 2:
                 raise ValueError(f"R must exceed 2, got {self.R}")

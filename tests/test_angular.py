@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pekar import (
     Field3D,
@@ -80,19 +81,33 @@ class TestLiftRadial:
             lift_radial(u, grid32)
 
 
+# a grid (even n in [8, 24], any side L) and a seed for random fields on it;
+# each new grid also makes a new entry of the per-grid shell-index cache
+GRIDS = st.builds(
+    Grid3D, st.integers(4, 12).map(lambda k: 2 * k), st.floats(1.0, 60.0, allow_nan=False)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
 class TestShellProjection:
-    def test_idempotent_to_rounding(self, grid32):
-        rng = np.random.default_rng(2)
-        f = Field3D(grid32, rng.standard_normal(grid32.shape))
+    @PROPERTY
+    @given(grid=GRIDS, seed=SEEDS)
+    def test_idempotent_to_rounding(self, grid, seed):
+        f = Field3D(grid, np.random.default_rng(seed).standard_normal(grid.shape))
         p1 = shell_project(f)
         p2 = shell_project(p1)
         np.testing.assert_allclose(p2.values, p1.values, rtol=0, atol=1e-13)
 
-    def test_self_adjoint_pairing(self, grid32):
-        rng = np.random.default_rng(3)
-        f = Field3D(grid32, rng.standard_normal(grid32.shape))
-        h = Field3D(grid32, rng.standard_normal(grid32.shape))
-        assert shell_project(f).inner(h) == pytest.approx(f.inner(shell_project(h)), abs=1e-12)
+    @PROPERTY
+    @given(grid=GRIDS, seed=SEEDS)
+    def test_self_adjoint_pairing(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        f = Field3D(grid, rng.standard_normal(grid.shape))
+        h = Field3D(grid, rng.standard_normal(grid.shape))
+        lhs, rhs = shell_project(f).inner(h), f.inner(shell_project(h))
+        # ‖f‖‖h‖ bounds both pairings (Cauchy–Schwarz, ‖P‖ = 1)
+        assert lhs == pytest.approx(rhs, abs=1e-15 * f.norm() * h.norm())
 
     def test_fixes_lifted_radial_fields(self, grid32):
         rg = RadialGrid(2048, np.sqrt(3) / 2 * grid32.L + 0.5)

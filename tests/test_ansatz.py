@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ class TestKGrid:
         # reduce ∫ dz/(x²+y²+z²) analytically, integrate the rest adaptively
         from scipy.integrate import dblquad
 
-        table = _cell_integrals(3)
+        table = _cell_integrals(3)  # octant entry (a, b, c) is the cell at (a, b, c) + 1/2
         for key in [(3, 1, 1), (3, 3, 1), (5, 3, 1)]:
             cx, cy, cz = (k / 2 for k in key)
 
@@ -55,20 +57,19 @@ class TestKGrid:
                 return (np.arctan((cz + 0.5) / a) - np.arctan((cz - 0.5) / a)) / a
 
             val, err = dblquad(inner, cx - 0.5, cx + 0.5, cy - 0.5, cy + 0.5, epsabs=1e-11)
-            assert table[key] == pytest.approx(val, abs=1e-8)
+            assert table[tuple(k // 2 for k in key)] == pytest.approx(val, abs=1e-8)
 
     def test_cached_cell_integrals_match_table_and_refuse_writes(self):
-        n_k = 6
-        table = _cell_integrals(n_k // 2)
-        odd = np.abs(2 * np.arange(n_k) + 1 - n_k)
-        fresh = np.empty((n_k,) * 3)
-        for idx in np.ndindex(fresh.shape):
-            key = tuple(sorted((int(odd[i]) for i in idx), reverse=True))
-            fresh[idx] = table[key]
+        n_k, h = 6, 3
         cached = _unit_cell_inv_k2(n_k)
-        assert np.array_equal(cached, fresh)
+        assert np.array_equal(cached[h:, h:, h:], _cell_integrals(h))
+        # every axis permutation and reflection maps the table onto itself bit for bit
+        for perm in itertools.permutations(range(3)):
+            for flips in itertools.product((False, True), repeat=3):
+                axes = tuple(ax for ax, f in enumerate(flips) if f)
+                assert np.array_equal(np.flip(cached.transpose(perm), axis=axes), cached)
         kg = KGrid(n_k, 1.5)
-        assert np.array_equal(kg.cell_inv_k2(), fresh * kg.dk)
+        assert np.array_equal(kg.cell_inv_k2(), cached * kg.dk)
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 0.0
 

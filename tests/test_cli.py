@@ -81,6 +81,13 @@ class TestValidate:
             (lambda d: d["experiment"]["params"].update(deltas=[]), "experiment.params.deltas"),
             # a seed kind that exists only as the solver's seed_field argument
             (lambda d: d["solver"].update(seed={"kind": "custom", "field": [0.0]}), "solver.seed"),
+            # numeric fields that are not numbers used to pass validate and fail in run
+            (lambda d: d.update(potential={"kind": "constant", "value": "x"}), "potential: value"),
+            (lambda d: d["experiment"]["params"]["z"].update(value="x"), "params.z: value"),
+            (
+                lambda d: d["solver"].update(seed={"kind": "random_perturbed", "amplitude": "big"}),
+                "solver.seed: amplitude",
+            ),
         ],
     )
     def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edit, path):
@@ -151,6 +158,21 @@ class TestRunSolveFull:
         cfg = write_cfg(tmp_path, data)
         assert main(["run", "--config", cfg, "--strict"]) == 3
 
+    def test_seed_override_reaches_the_solver_seed(self, tmp_path):
+        data = solve_full_cfg(str(tmp_path / "ignored"))
+        data["solver"] = {"max_iters": 3, "seed": {"kind": "random_perturbed", "amplitude": 0.3}}
+        cfg = write_cfg(tmp_path, data)
+        outs = [tmp_path / f"seed{s}" for s in (1, 2)]
+        for s, out in zip((1, 2), outs):
+            assert main(["run", "--config", cfg, "--out", str(out), "--seed", str(s)]) == 0
+        psi1, psi2 = ((out / "psi.field").read_bytes() for out in outs)
+        assert psi1 != psi2
+        m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in outs)
+        assert (m1["rng_seed"], m2["rng_seed"]) == (1, 2)
+        # the manifest keeps the file's config and hash
+        assert m1["config"] == m2["config"] == data
+        assert m1["config_hash"] == m2["config_hash"]
+
     def test_out_override(self, tmp_path):
         other = tmp_path / "elsewhere"
         cfg = write_cfg(tmp_path, solve_full_cfg(str(tmp_path / "ignored")))
@@ -211,6 +233,20 @@ class TestRunOrbit:
         assert len(lines) == 3
         summary = json.loads((out / "orbit_summary.json").read_text())
         assert summary["energy_spread"] < 1e-3
+
+    def test_q_solved_on_the_config_radial_grid(self, tmp_path):
+        # max_iters 0: each energy is that of the seed, the translate of Q
+        energies = []
+        for name, rgrid in (("default", None), ("coarse", {"m": 512, "r_max": 18.0})):
+            data = solve_full_cfg(str(tmp_path / name))
+            data["solver"]["max_iters"] = 0
+            data["experiment"] = {"name": "orbit", "params": {"n_seeds": 1}}
+            if rgrid is not None:
+                data["radial_grid"] = rgrid
+            assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json")]) == 0
+            lines = (tmp_path / name / "orbit.csv").read_text().strip().splitlines()
+            energies.append(float(dict(zip(lines[0].split(","), lines[1].split(",")))["energy"]))
+        assert energies[0] != pytest.approx(energies[1], rel=1e-9, abs=0)
 
 
 class TestRunProductEnergy:

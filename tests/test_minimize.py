@@ -19,6 +19,7 @@ from pekar import (
     normalize,
     pekar_energy,
     radial_el_residual,
+    shell_profile,
     solve_free,
     translate_seed,
 )
@@ -69,6 +70,13 @@ class TestRadialFreeProblem:
         rg = RadialGrid(2048, 20.0)
         o = SolveOptions(max_iters=500, tolerance_residual=1e-6)
         assert solve_free(rg, o) is solve_free(rg, o)
+
+    def test_shared_tables_refuse_writes(self, free_radial, grid32):
+        # cached values every caller shares: an in-place write would reach them all
+        _, _, counts = shell_profile(Field3D(grid32, np.ones(grid32.shape)))
+        for shared in (counts, free_radial.psi.values, free_radial.history):
+            with pytest.raises(ValueError, match="read-only"):
+                shared *= 2
 
     def test_solver_cache_keyed_on_all_options(self):
         rg = RadialGrid(1024, 20.0)

@@ -26,8 +26,8 @@ from .fields import Field3D, Grid3D, RadialField, RadialGrid
 _LEBEDEV_ORDER = 35
 
 
-def _lebedev(order: int = _LEBEDEV_ORDER) -> tuple:
-    pts, wts = lebedev_rule(order)
+def _lebedev() -> tuple:
+    pts, wts = lebedev_rule(_LEBEDEV_ORDER)
     return pts.T.copy(), wts / np.sum(wts)  # directions (N,3), weights summing to 1
 
 
@@ -61,11 +61,7 @@ def default_reduction_grid(grid: Grid3D) -> RadialGrid:
     return RadialGrid(m, r_max)
 
 
-def spherical_average(
-    f: Field3D,
-    rgrid: RadialGrid | None = None,
-    order: int = _LEBEDEV_ORDER,
-) -> RadialField:
+def spherical_average(f: Field3D, rgrid: RadialGrid | None = None) -> RadialField:
     """Mean of f over the sphere |x| = r_j, by Lebedev directions.
 
     Radii beyond the inscribed ball (r > L/2) are flagged extrapolated:
@@ -73,7 +69,7 @@ def spherical_average(
     """
     if rgrid is None:
         rgrid = default_reduction_grid(f.grid)
-    dirs, wts = _lebedev(order)
+    dirs, wts = _lebedev()
     r = rgrid.nodes()
     pts = r[:, None, None] * dirs[None, :, :]  # (m, N, 3)
     samples = trilinear_sample(f, pts.reshape(-1, 3)).reshape(len(r), -1)

@@ -177,23 +177,14 @@ def optimal_displacement(rho_hat: np.ndarray, kgrid: KGrid, alpha: float) -> Pho
     return PhononDisplacement(kgrid, z, alpha)
 
 
-def product_energy(
-    psi: Field3D,
-    disp: PhononDisplacement,
-    V: Field3D | None = None,
-    alpha: float | None = None,
-) -> float:
-    """⟨H⟩ in the product state: kinetic - potential + phonon + interaction.
+def product_energy(psi: Field3D, disp: PhononDisplacement, V: Field3D | None = None) -> float:
+    """⟨H⟩ in the product state at disp.alpha: kinetic - potential + phonon + interaction.
 
     Pass the potential already in its α-scaled form (α²V(αx) sampled on
     ψ's grid); see alpha_scaling_check for the bookkeeping.
     """
     from .spectral import kinetic_energy  # local import to avoid cycles
 
-    if alpha is None:
-        alpha = disp.alpha
-    if alpha != disp.alpha:
-        raise ValueError(f"alpha mismatch: {alpha} vs displacement's {disp.alpha}")
     kg = disp.kgrid
     T = kinetic_energy(psi)
     P = 0.0
@@ -203,7 +194,7 @@ def product_energy(
         P = float(np.sum(V.values * psi.values**2) * psi.grid.cell_volume)
     rho_hat = density_fourier(psi.density(), kg)
     w = kg.weights()
-    C = coupling_constant(alpha)
+    C = coupling_constant(disp.alpha)
     g = C / kg.kmag()
     phonon = float(np.sum(w * np.abs(disp.z) ** 2))
     inter = float(np.sum(w * g * 2.0 * np.real(disp.z * np.conj(rho_hat))))
@@ -216,7 +207,7 @@ def min_product_energy(
     """(min over z of E(ψ,z), the optimal displacement)."""
     rho_hat = density_fourier(psi.density(), kgrid)
     disp = optimal_displacement(rho_hat, kgrid, alpha)
-    return product_energy(psi, disp, V, alpha), disp
+    return product_energy(psi, disp, V), disp
 
 
 def alpha_scaling_check(

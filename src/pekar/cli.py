@@ -4,9 +4,11 @@
     pekar run --config cfg.json [--out DIR] [--workers N] [--strict] [--seed U64]
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence in
-strict mode.  Every run writes a manifest.json carrying the config, its
-hash, library versions, the RNG seed and wall times; identical config +
-seed + worker count reproduces all numeric outputs bit-identically.
+strict mode.  Each flag given to ``run`` overrides the config field of the
+same meaning and is checked like it.  Every run writes a manifest.json
+carrying the config, its hash, library versions, the RNG seed, wall times
+and the name of every other file written; identical config + seed +
+worker count reproduces all numeric outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import platform
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -33,7 +34,7 @@ from .experiments import (
     rotation_orbit_evidence,
     sweep_R,
 )
-from .fields import save_field, save_radial
+from .fields import Field3D, save_field, save_radial
 from .minimize import minimize, minimize_radial, radial_gaussian_seed, solve_free
 from .potentials import PotentialSpec, mass_in_well
 from .radial import strauss_bound_check
@@ -49,18 +50,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, rows: list) -> list:
-    """One column per key of the (non-empty) rows, in their order; returns the rows."""
-    with open(path, "w") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
-    return rows
-
-
-def _write_json(out_dir: Path, name: str, payload: dict) -> dict:
-    (out_dir / name).write_text(json.dumps(payload, indent=2))
-    return {name: payload}
+def _write(out_dir: Path, files: dict) -> None:
+    """Write each file by the type of its content: a dict as JSON, a list of
+    rows as CSV (one column per key of the first row, in its order), a
+    Field3D as a field snapshot, a RadialField as a radial profile."""
+    for name, content in files.items():
+        path = out_dir / name
+        if isinstance(content, dict):
+            path.write_text(json.dumps(content, indent=2))
+        elif isinstance(content, list):
+            with open(path, "w") as fh:
+                fh.write(",".join(content[0]) + "\n")
+                for row in content:
+                    fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
+        elif isinstance(content, Field3D):
+            save_field(path, content)
+        else:
+            save_radial(path, content)
 
 
 def _solve_summary(res) -> dict:
@@ -69,7 +75,7 @@ def _solve_summary(res) -> dict:
             "iterations": res.iterations, "converged": res.converged}
 
 
-def _run_solve_free(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_solve_free(cfg: ExperimentConfig) -> tuple:
     res = solve_free(cfg.radial_grid, cfg.solver)
     b = res.energy
     payload = {
@@ -79,12 +85,10 @@ def _run_solve_free(cfg: ExperimentConfig, out_dir: Path) -> tuple:
         "strauss_margin": strauss_bound_check(res.psi),
         **_solve_summary(res),
     }
-    save_radial(out_dir / "q.csv", res.psi)
-    arts = {**_write_json(out_dir, "free.json", payload), "q.csv": "radial minimizer profile"}
-    return arts, [res.converged]
+    return {"free.json": payload, "q.csv": res.psi}, [res.converged]
 
 
-def _run_solve_radial(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_solve_radial(cfg: ExperimentConfig) -> tuple:
     res = minimize_radial(cfg.potential.build_radial(cfg.radial_grid), cfg.solver)
     payload = {
         "e_rad": res.energy.total,
@@ -92,11 +96,10 @@ def _run_solve_radial(cfg: ExperimentConfig, out_dir: Path) -> tuple:
         **_solve_summary(res),
         "strauss_margin": strauss_bound_check(res.psi),
     }
-    save_radial(out_dir / "u_rad.csv", res.psi)
-    return _write_json(out_dir, "radial.json", payload), [res.converged]
+    return {"radial.json": payload, "u_rad.csv": res.psi}, [res.converged]
 
 
-def _run_solve_full(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_solve_full(cfg: ExperimentConfig) -> tuple:
     res = minimize(cfg.potential.build(cfg.grid), cfg.solver)
     rho = res.psi.density()
     com = center_of_mass(rho)
@@ -110,26 +113,24 @@ def _run_solve_full(cfg: ExperimentConfig, out_dir: Path) -> tuple:
     }
     if cfg.potential.kind == "annular":
         payload["well_mass"] = mass_in_well(rho, cfg.potential.R)
-    save_field(out_dir / "psi.field", res.psi)
-    save_radial(out_dir / "density_profile.csv", spherical_average(rho))
-    return _write_json(out_dir, "full.json", payload), [res.converged]
+    files = {"full.json": payload, "psi.field": res.psi,
+             "density_profile.csv": spherical_average(rho)}
+    return files, [res.converged]
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_sweep(cfg: ExperimentConfig) -> tuple:
     rows = sweep_R(cfg.params["R_list"], cfg.grid, cfg.radial_grid, cfg.solver, workers=cfg.workers)
-    arts = {"sweep.csv": _write_csv(out_dir / "sweep.csv", [r.as_dict() for r in rows])}
-    return arts, [not r.flagged for r in rows]
+    return {"sweep.csv": [r.as_dict() for r in rows]}, [not r.flagged for r in rows]
 
 
-def _run_perturb(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_perturb(cfg: ExperimentConfig) -> tuple:
     V = cfg.potential.build(cfg.grid)
     zspec = PotentialSpec(**cfg.params["z"])
     rep = fd_derivative(V, zspec, cfg.grid, cfg.solver, deltas=cfg.params["deltas"])
-    arts = {"derivative.csv": _write_csv(out_dir / "derivative.csv", rep.as_rows())}
-    return arts, [not rep.flagged]
+    return {"derivative.csv": rep.as_rows()}, [not rep.flagged]
 
 
-def _run_product_energy(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_product_energy(cfg: ExperimentConfig) -> tuple:
     alpha = float(cfg.params["alpha"])
     sigma = float(cfg.params["sigma"])
     psi = radial_gaussian_seed(cfg.grid, sigma)
@@ -145,10 +146,10 @@ def _run_product_energy(cfg: ExperimentConfig, out_dir: Path) -> tuple:
         "square_completion_defect": abs(e_prod - e_pek),
         "alpha_scaling_defect": alpha_scaling_check(psi, alpha, cfg.kgrid, V),
     }
-    return _write_json(out_dir, "product.json", payload), [True]
+    return {"product.json": payload}, [True]
 
 
-def _run_orbit(cfg: ExperimentConfig, out_dir: Path) -> tuple:
+def _run_orbit(cfg: ExperimentConfig) -> tuple:
     recenter = cfg.params["recenter"]
     if recenter is None:
         recenter = cfg.potential.kind != "annular"
@@ -159,9 +160,7 @@ def _run_orbit(cfg: ExperimentConfig, out_dir: Path) -> tuple:
         for i, (e, c) in enumerate(zip(rep.energies, rep.converged))
     ]
     summary = {"energy_spread": rep.energy_spread, "max_profile_mismatch": rep.max_profile_mismatch}
-    (out_dir / "orbit_summary.json").write_text(json.dumps(summary, indent=2))
-    arts = {"orbit.csv": _write_csv(out_dir / "orbit.csv", rows), "orbit_summary": summary}
-    return arts, list(rep.converged)
+    return {"orbit.csv": rows, "orbit_summary.json": summary}, list(rep.converged)
 
 
 def _numbers(path: str, values) -> list:
@@ -212,7 +211,7 @@ class Experiment(NamedTuple):
 
     sections: tuple  # config sections that must be present
     params: dict  # every param it accepts -> default (None: none; the check decides)
-    run: Callable[[ExperimentConfig, Path], tuple]  # -> (artifacts, converged flags)
+    run: Callable[[ExperimentConfig], tuple]  # -> (files: name -> content, converged flags)
     check: Optional[Callable[[ExperimentConfig], None]] = None  # raises ConfigError
 
 
@@ -233,21 +232,18 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def _load(path, seed: Optional[int] = None) -> Optional[ExperimentConfig]:
-    """The parsed config; a ``seed`` acts as the file's top-level ``seed``
-    (the solver seed's ``rng_seed`` included), while ``raw`` stays the file's."""
+def _load(path, overrides: dict) -> Optional[ExperimentConfig]:
+    """The parsed config, each of ``overrides`` in place of the file's
+    top-level field of that name and checked like it."""
     try:
-        cfg = ExperimentConfig.from_json(path)
-        if seed is not None:
-            cfg = replace(ExperimentConfig.from_dict({**cfg.raw, "seed": seed}), raw=cfg.raw)
-        return cfg
+        return ExperimentConfig.from_json(path, overrides)
     except (ConfigError, OSError) as e:
         print(f"invalid: {e}", file=sys.stderr)
         return None
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args.config, {})
     if cfg is None:
         return 2
     print("ok")
@@ -256,18 +252,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config, args.seed)
+    flags = {k: getattr(args, k) for k in ("output_dir", "workers", "strict", "seed")}
+    cfg = _load(args.config, {k: v for k, v in flags.items() if v is not None})
     if cfg is None:
         return 2
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
-    cfg.strict = cfg.strict or args.strict
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    arts, converged = EXPERIMENTS[cfg.experiment].run(cfg, out_dir)
+    files, converged = EXPERIMENTS[cfg.experiment].run(cfg)
+    _write(out_dir, files)
     wall = time.time() - t0
     manifest = {
         "config": cfg.raw,
@@ -282,11 +275,11 @@ def cmd_run(args) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "artifacts": sorted(a for a in arts),
+        "artifacts": sorted(files),
         "all_converged": all(converged) if converged else True,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    print(f"wrote {len(arts)} artifact(s) to {out_dir} in {wall:.1f}s")
+    print(f"wrote {len(files)} artifact(s) to {out_dir} in {wall:.1f}s")
     if cfg.strict and converged and not all(converged):
         print("strict mode: at least one solve did not converge", file=sys.stderr)
         return 3
@@ -301,10 +294,11 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the configured experiment")
     p_run.add_argument("--config", required=True, help="path to the JSON config")
-    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_run.add_argument("--workers", default=None, type=int, help="worker pool size")
-    p_run.add_argument("--strict", action="store_true", help="fail on non-convergence")
-    p_run.add_argument("--seed", default=None, type=int, help="RNG seed override")
+    # each flag given overrides the config field named by its dest
+    p_run.add_argument("--out", dest="output_dir", help="output directory")
+    p_run.add_argument("--workers", type=int, help="worker pool size")
+    p_run.add_argument("--strict", action="store_const", const=True, help="fail on non-convergence")
+    p_run.add_argument("--seed", type=int, help="RNG seed")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config and report derived quantities")

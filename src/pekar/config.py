@@ -82,7 +82,7 @@ def _section(data: dict, path: str, keys: tuple, build):
     return parsed(path, build, *(sec[k] for k in keys))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     params: dict = dc_field(default_factory=dict)
@@ -98,11 +98,14 @@ class ExperimentConfig:
     raw: dict = dc_field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data: dict, overrides: Optional[dict] = None) -> "ExperimentConfig":
+        """The config ``data`` describes, each of ``overrides`` in place of the
+        top-level field of that name; ``raw`` stays ``data``."""
         from .cli import EXPERIMENTS  # the registry sits next to its runners
 
         if not isinstance(data, dict):
             raise ConfigError("config", "must be an object")
+        raw, data = data, {**data, **(overrides or {})}
         if "experiment" not in data:
             raise ConfigError("config.experiment", "missing required field")
         exp = data["experiment"]
@@ -135,6 +138,12 @@ class ExperimentConfig:
             parsed("potential", pot.validate)
 
         rng_seed = integer("seed", data.get("seed", 0), 0)
+        output_dir = data.get("output_dir", "out")
+        if not isinstance(output_dir, str) or not output_dir:
+            raise ConfigError("output_dir", f"must be a non-empty string, got {output_dir!r}")
+        strict = data.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ConfigError("strict", f"must be true or false, got {strict!r}")
         solver_data = parsed("solver", dict, data.get("solver", {}))
         seed_spec = SeedSpec(rng_seed=rng_seed)
         if "seed" in solver_data:
@@ -155,11 +164,11 @@ class ExperimentConfig:
             kgrid=kgrid,
             potential=pot,
             solver=solver,
-            output_dir=str(data.get("output_dir", "out")),
+            output_dir=output_dir,
             workers=integer("workers", data.get("workers", 1), 1),
             rng_seed=rng_seed,
-            strict=bool(data.get("strict", False)),
-            raw=data,
+            strict=strict,
+            raw=raw,
         )
         for section in entry.sections:
             if getattr(cfg, section) is None:
@@ -171,13 +180,13 @@ class ExperimentConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, overrides: Optional[dict] = None) -> "ExperimentConfig":
         with open(path) as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ConfigError("config", f"not valid JSON: {e}") from e
-        return cls.from_dict(data)
+        return cls.from_dict(data, overrides)
 
     # -- reporting -----------------------------------------------------------
 
@@ -189,10 +198,13 @@ class ExperimentConfig:
         rep: dict[str, Any] = {"experiment": self.experiment}
         g, rg, kg = self.grid, self.radial_grid, self.kgrid
         if g is not None:
-            n = g.n
-            pad_bytes = (2 * n) ** 3 * 8 + (2 * n) ** 2 * (n + 1) * 16 * 2
+            n, npad = g.n, 2 * g.n
+            half, half_pad = n * n * (n // 2 + 1), npad * npad * (npad // 2 + 1)
+            # SpectralOps' k2 and wk (float64), boundary_mask (bool), and one
+            # complex padded half-spectrum
+            mem = 8 * half + 8 * half_pad + n**3 + 16 * half_pad
             rep["grid"] = {"n": n, "L": g.L, "dx": g.dx, "inscribed_radius": g.L / 2,
-                           "memory_estimate_bytes": int(pad_bytes + 4 * n**3 * 8)}
+                           "memory_estimate_bytes": mem}
         if rg is not None:
             rep["radial_grid"] = {"m": rg.m, "r_max": rg.r_max, "dr": rg.dr}
         if kg is not None:

@@ -318,7 +318,6 @@ def rotation_orbit_evidence(
     opts: SolveOptions = SolveOptions(),
     rng_seed: int = 0,
     recenter: bool = False,
-    profile_grid: Optional[RadialGrid] = None,
     rgrid: Optional[RadialGrid] = None,
 ) -> OrbitReport:
     """Solve from several random-direction seeds; compare energies and
@@ -344,9 +343,8 @@ def rotation_orbit_evidence(
         if recenter:
             shift = np.rint(center_of_mass(psi.density()) / grid.dx).astype(int)
             psi = Field3D(grid, np.roll(psi.values, tuple(-shift), axis=(0, 1, 2)))
-        prof = spherical_average(psi.density(), rgrid=profile_grid)
-        keep = ~prof.extrapolated if prof.extrapolated is not None else slice(None)
-        profiles.append(prof.values[keep])
+        prof = spherical_average(psi.density())
+        profiles.append(prof.values[~prof.extrapolated])
         energies.append(res.energy.total)
         converged.append(res.converged)
     k = len(profiles)

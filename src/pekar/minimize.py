@@ -73,6 +73,8 @@ class SeedSpec:
             raise ValueError("translated_q seed needs R")
         for name in ("sigma", "amplitude") + (("R",) if self.R is not None else ()):
             finite_real(name, getattr(self, name))
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3,) or not np.all(np.isfinite(d)) or not d.any():
             raise ValueError(f"direction must be 3 finite numbers, not all 0; got {self.direction}")

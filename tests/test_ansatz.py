@@ -178,8 +178,6 @@ class TestProductEnergy:
         psi = gaussian_psi(grid32, 1.0)
         kg = KGrid(8, 2.0)
         disp = PhononDisplacement(kg, np.zeros(kg.shape, dtype=complex), 2.0)
-        with pytest.raises(ValueError, match="alpha mismatch"):
-            product_energy(psi, disp, alpha=1.0)
         other = Grid3D(32, 20.0)
         V = Field3D(other, np.zeros(other.shape))
         with pytest.raises(ValueError, match="incompatible grids"):

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pekar.cli import EXPERIMENTS, main
 from pekar.config import ExperimentConfig
@@ -40,6 +41,48 @@ def solve_full_cfg(out):
         "output_dir": out,
         "seed": 3,
     }
+
+
+def solve_radial_cfg(out):
+    return {**solve_free_cfg(out), "potential": {"kind": "annular", "R": 4.0},
+            "experiment": {"name": "solve-radial"}}
+
+
+def sweep_cfg(out):
+    return {
+        "grid": {"n": 32, "L": 20.0},
+        "radial_grid": {"m": 512, "r_max": 18.0},
+        "solver": {"max_iters": 300, "tolerance_residual": 5e-5},
+        "experiment": {"name": "sweep-R", "params": {"R_list": [4.0]}},
+        "output_dir": out,
+        "seed": 5,
+    }
+
+
+def perturb_cfg(out):
+    return {**solve_full_cfg(out), "experiment": {
+        "name": "perturb",
+        "params": {"z": {"kind": "constant", "value": 1.0}, "deltas": [0.02, 0.01]},
+    }}
+
+
+def orbit_cfg(out):
+    return {**solve_full_cfg(out), "experiment": {"name": "orbit", "params": {"n_seeds": 2}}}
+
+
+def product_cfg(out):
+    return {
+        "grid": {"n": 32, "L": 16.0},
+        "kgrid": {"n_k": 16, "k_max": 2.0},
+        "experiment": {"name": "product-energy", "params": {"alpha": 2.0, "sigma": 1.0}},
+        "output_dir": out,
+    }
+
+
+def assert_manifest_lists_the_files(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    return manifest
 
 
 class TestValidate:
@@ -88,6 +131,10 @@ class TestValidate:
                 lambda d: d["solver"].update(seed={"kind": "random_perturbed", "amplitude": "big"}),
                 "solver.seed: amplitude",
             ),
+            (
+                lambda d: d["solver"].update(seed={"kind": "random_perturbed", "rng_seed": "x"}),
+                "solver.seed: rng_seed",
+            ),
         ],
     )
     def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edit, path):
@@ -120,7 +167,7 @@ class TestRunSolveFree:
         assert free["e0"] < 0.0
         assert free["virial_defect"] < 1e-3
         assert free["strauss_margin"] >= 0.0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = assert_manifest_lists_the_files(out)
         assert manifest["config_hash"]
         assert manifest["rng_seed"] == 3
         assert (out / "q.csv").exists()
@@ -137,6 +184,16 @@ class TestRunSolveFree:
         assert f1 == f2
 
 
+class TestRunSolveRadial:
+    def test_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, solve_radial_cfg(str(out)))
+        assert main(["run", "--config", cfg]) == 0
+        assert json.loads((out / "radial.json").read_text())["converged"]
+        assert (out / "u_rad.csv").exists()
+        assert_manifest_lists_the_files(out)
+
+
 class TestRunSolveFull:
     def test_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -149,6 +206,7 @@ class TestRunSolveFull:
         psi = load_field(out / "psi.field")
         assert abs(psi.norm() - 1.0) < 1e-12
         assert (out / "density_profile.csv").exists()
+        assert_manifest_lists_the_files(out)
 
     def test_strict_mode_exit_3_on_nonconvergence(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -178,21 +236,15 @@ class TestRunSolveFull:
         cfg = write_cfg(tmp_path, solve_full_cfg(str(tmp_path / "ignored")))
         assert main(["run", "--config", cfg, "--out", str(other)]) == 0
         assert (other / "full.json").exists()
+        assert_manifest_lists_the_files(other)
 
 
 class TestRunSweep:
     def test_sweep_rows_and_invariants(self, tmp_path):
         out = tmp_path / "out"
-        data = {
-            "grid": {"n": 32, "L": 20.0},
-            "radial_grid": {"m": 512, "r_max": 18.0},
-            "solver": {"max_iters": 300, "tolerance_residual": 5e-5},
-            "experiment": {"name": "sweep-R", "params": {"R_list": [4.0]}},
-            "output_dir": str(out),
-            "seed": 5,
-        }
-        cfg = write_cfg(tmp_path, data)
+        cfg = write_cfg(tmp_path, sweep_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
+        assert_manifest_lists_the_files(out)
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "R"
         header = lines[0].split(",")
@@ -206,13 +258,9 @@ class TestRunSweep:
 class TestRunPerturb:
     def test_derivative_artifacts(self, tmp_path):
         out = tmp_path / "out"
-        data = solve_full_cfg(str(out))
-        data["experiment"] = {
-            "name": "perturb",
-            "params": {"z": {"kind": "constant", "value": 1.0}, "deltas": [0.02, 0.01]},
-        }
-        cfg = write_cfg(tmp_path, data)
+        cfg = write_cfg(tmp_path, perturb_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
+        assert_manifest_lists_the_files(out)
         lines = (out / "derivative.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
@@ -225,10 +273,9 @@ class TestRunPerturb:
 class TestRunOrbit:
     def test_orbit_artifacts(self, tmp_path):
         out = tmp_path / "out"
-        data = solve_full_cfg(str(out))
-        data["experiment"] = {"name": "orbit", "params": {"n_seeds": 2}}
-        cfg = write_cfg(tmp_path, data)
+        cfg = write_cfg(tmp_path, orbit_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
+        assert_manifest_lists_the_files(out)
         lines = (out / "orbit.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         summary = json.loads((out / "orbit_summary.json").read_text())
@@ -252,14 +299,75 @@ class TestRunOrbit:
 class TestRunProductEnergy:
     def test_product_artifacts(self, tmp_path):
         out = tmp_path / "out"
-        data = {
-            "grid": {"n": 32, "L": 16.0},
-            "kgrid": {"n_k": 16, "k_max": 2.0},
-            "experiment": {"name": "product-energy", "params": {"alpha": 2.0, "sigma": 1.0}},
-            "output_dir": str(out),
-        }
-        cfg = write_cfg(tmp_path, data)
+        cfg = write_cfg(tmp_path, product_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
+        assert_manifest_lists_the_files(out)
         prod = json.loads((out / "product.json").read_text())
         assert prod["min_product_energy"] >= prod["pekar_energy"] - 1e-12
         assert prod["square_completion_defect"] < 0.1
+
+
+class TestFlagsAreConfigFields:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_workers_flag_exits_2(self, tmp_path, capsys, workers):
+        cfg = write_cfg(tmp_path, solve_full_cfg(str(tmp_path / "out")))
+        assert main(["run", "--config", cfg, "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_strict_must_be_a_bool(self, tmp_path, capsys):
+        data = solve_full_cfg(str(tmp_path / "out"))
+        data["strict"] = "false"
+        assert main(["run", "--config", write_cfg(tmp_path, data)]) == 2
+        assert "strict" in capsys.readouterr().err
+
+
+BUILDERS = [solve_free_cfg, solve_radial_cfg, solve_full_cfg, sweep_cfg, perturb_cfg, orbit_cfg,
+            product_cfg]
+
+# key path -> values, valid and not, that an edit may put there; "dir" stands
+# for a directory under tmp_path, so that no run writes elsewhere
+EDITS = {
+    ("workers",): [1, 2, 0, -1, 1.5, "2", True],
+    ("seed",): [0, 9, -1, "x", False],
+    ("strict",): [True, False, "false", 0, None],
+    ("output_dir",): ["dir", "", 3, None],
+    ("solver", "max_iters"): [0, 5, -1, "5"],
+    ("solver", "seed", "rng_seed"): [0, 4, -1, "x", True],
+    ("grid", "n"): [16, 31, "32"],
+    ("potential", "R"): [4.0, 1.5, 12.0, "4"],
+}
+FLAGS = {"--out": ["dir", ""], "--workers": [3, 1, 0, -1], "--seed": [0, 5, -1], "--strict": [True]}
+FIELDS = {"--out": "output_dir", "--workers": "workers", "--seed": "seed", "--strict": "strict"}
+
+
+def _stub_run(cfg):
+    return {}, [True]
+
+
+def _under(tmp_path, value):
+    return str(tmp_path / value) if value == "dir" else value
+
+
+class TestValidateIffRun:
+    # the registry patch and tmp_path are the same for every example
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_config_passes_validate_iff_run_accepts_it(self, tmp_path, monkeypatch, data):
+        for name, entry in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, name, entry._replace(run=_stub_run))
+        cfg = data.draw(st.sampled_from(BUILDERS))(str(tmp_path / "out"))
+        for path in data.draw(st.lists(st.sampled_from(list(EDITS)), max_size=3, unique=True)):
+            node = cfg
+            for k in path[:-1]:
+                node = node.setdefault(k, {})
+            node[path[-1]] = _under(tmp_path, data.draw(st.sampled_from(EDITS[path])))
+        flags = {f: data.draw(st.none() | st.sampled_from(v)) for f, v in FLAGS.items()}
+        flags = {f: _under(tmp_path, v) for f, v in flags.items() if v is not None}
+        argv = [a for f, v in flags.items() for a in ((f,) if f == "--strict" else (f, str(v)))]
+
+        merged = {**cfg, **{FIELDS[f]: v for f, v in flags.items()}}
+        validated = main(["validate", "--config", write_cfg(tmp_path, merged, "merged.json")])
+        ran = main(["run", "--config", write_cfg(tmp_path, cfg), *argv])
+        assert validated in (0, 2)
+        assert ran == validated

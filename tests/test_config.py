@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from pekar.cli import EXPERIMENTS
 from pekar.config import ConfigError, ExperimentConfig
+from pekar.fields import Grid3D
+from pekar.spectral import SpectralOps
 
 
 def make(**over):
@@ -147,6 +149,17 @@ class TestDerivedReport:
         assert rep["radial_grid"]["dr"] == pytest.approx(18.0 / 511)
         assert rep["kgrid"]["dk"] == pytest.approx(0.5)
         assert rep["potential"]["support_margin"] == pytest.approx(5.0)
+
+    def test_memory_estimate_counts_the_spectral_arrays(self):
+        ops = SpectralOps(Grid3D(16, 8.0))
+        cfg = ExperimentConfig.from_dict(
+            {"grid": {"n": 16, "L": 8.0}, "kgrid": {"n_k": 8, "k_max": 2.0},
+             "experiment": "product-energy"}
+        )
+        npad = ops.npad
+        kept = ops.k2.nbytes + ops.wk.nbytes + ops.boundary_mask.nbytes
+        spectrum = 16 * npad**2 * (npad // 2 + 1)  # one complex padded half-spectrum
+        assert cfg.derived_report()["grid"]["memory_estimate_bytes"] == kept + spectrum
 
     def test_hash_stable_under_key_order(self):
         a = ExperimentConfig.from_dict(make())

@@ -35,7 +35,7 @@ from .experiments import (
     sweep_R,
 )
 from .fields import Field3D, save_field, save_radial
-from .minimize import minimize, minimize_radial, radial_gaussian_seed, solve_free
+from .minimize import build_seed, minimize, minimize_radial, radial_gaussian_seed, solve_free
 from .potentials import PotentialSpec, mass_in_well
 from .radial import strauss_bound_check
 
@@ -100,7 +100,8 @@ def _run_solve_radial(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_solve_full(cfg: ExperimentConfig) -> tuple:
-    res = minimize(cfg.potential.build(cfg.grid), cfg.solver)
+    seed = build_seed(cfg.solver.seed, cfg.grid, cfg.radial_grid)
+    res = minimize(cfg.potential.build(cfg.grid), cfg.solver, seed_field=seed)
     rho = res.psi.density()
     com = center_of_mass(rho)
     payload = {

@@ -56,7 +56,7 @@ def number(path: str, value) -> float:
     return parsed(path, finite_real, "value", value)
 
 
-def integer(path: str, value, minimum: int) -> int:
+def integer(path: str, value, minimum: int = 1) -> int:
     """A JSON integer (not a bool) no smaller than ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(path, f"must be an integer >= {minimum}, got {value!r}")
@@ -69,17 +69,19 @@ def check_in_box(path: str, R: float, grid: Grid3D) -> None:
         raise ConfigError(path, f"potential exits box: R+1 = {R + 1} >= L/2 = {grid.L / 2}")
 
 
-def _section(data: dict, path: str, keys: tuple, build):
-    """build(*the section's values at keys), or None when the section is absent."""
+def _section(data: dict, path: str, fields: dict, build):
+    """build(*the section's values, each key's value passed through its check
+    in ``fields``), or None when the section is absent."""
     if path not in data:
         return None
     sec = data[path]
     if not isinstance(sec, dict):
         raise ConfigError(path, "must be an object")
-    for k in keys:
+    for k in fields:
         if k not in sec:
             raise ConfigError(f"{path}.{k}", "missing required field")
-    return parsed(path, build, *(sec[k] for k in keys))
+    values = [check(f"{path}.{k}", sec[k]) for k, check in fields.items()]
+    return parsed(path, build, *values)
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,9 @@ class ExperimentConfig:
                     f"experiment.params.{k}", f"{name!r} takes only {sorted(entry.params)}"
                 )
 
-        grid = _section(data, "grid", ("n", "L"), lambda n, L: Grid3D(int(n), float(L)))
-        rgrid = _section(
-            data, "radial_grid", ("m", "r_max"), lambda m, r: RadialGrid(int(m), float(r))
-        )
-        kgrid = _section(data, "kgrid", ("n_k", "k_max"), lambda n, k: KGrid(int(n), float(k)))
+        grid = _section(data, "grid", {"n": integer, "L": number}, Grid3D)
+        rgrid = _section(data, "radial_grid", {"m": integer, "r_max": number}, RadialGrid)
+        kgrid = _section(data, "kgrid", {"n_k": integer, "k_max": number}, KGrid)
         pot = None
         if "potential" in data:
             pot = parsed("potential", lambda p: PotentialSpec(**p), data["potential"])

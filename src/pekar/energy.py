@@ -81,6 +81,9 @@ class BoxFunctional:
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sum(a * b) * self.dv)
 
+    # the gradient of residual is the L² one, so it pairs with a direction by inner
+    pairing = inner
+
     def evaluate(self, values: np.ndarray) -> tuple:
         ops = self.ops
         spec_psi = ops.fft(values)
@@ -123,6 +126,10 @@ class RadialFunctional:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sum(self.M * a * b))
+
+    def pairing(self, g: np.ndarray, d: np.ndarray) -> float:
+        """Directional derivative of the energy along d, for the nodal gradient g."""
+        return float(np.sum(g * d))
 
     def evaluate(self, values: np.ndarray) -> tuple:
         # T = Σ c_j (Δu)²; c_seg already carries the dr weight

@@ -135,6 +135,11 @@ class TestValidate:
                 lambda d: d["solver"].update(seed={"kind": "random_perturbed", "rng_seed": "x"}),
                 "solver.seed: rng_seed",
             ),
+            # grid sizes used to be coerced with int() and float()
+            (lambda d: d.update(grid={"n": 32.9, "L": 40.0}), "grid.n"),
+            (lambda d: d.update(grid={"n": 32, "L": True}), "grid.L"),
+            (lambda d: d.update(radial_grid={"m": 1024, "r_max": "20"}), "radial_grid.r_max"),
+            (lambda d: d.update(kgrid={"n_k": "8", "k_max": 2.0}), "kgrid.n_k"),
         ],
     )
     def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edit, path):
@@ -230,6 +235,18 @@ class TestRunSolveFull:
         # the manifest keeps the file's config and hash
         assert m1["config"] == m2["config"] == data
         assert m1["config_hash"] == m2["config_hash"]
+
+    def test_translated_q_solved_on_the_config_radial_grid(self, tmp_path):
+        # max_iters 0: e_full is the energy of the seed, the translate of Q
+        energies = []
+        for name, rgrid in (("default", None), ("coarse", {"m": 512, "r_max": 18.0})):
+            data = solve_full_cfg(str(tmp_path / name))
+            data["solver"]["max_iters"] = 0
+            if rgrid is not None:
+                data["radial_grid"] = rgrid
+            assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json")]) == 0
+            energies.append(json.loads((tmp_path / name / "full.json").read_text())["e_full"])
+        assert energies[0] != pytest.approx(energies[1], rel=1e-9, abs=0)
 
     def test_out_override(self, tmp_path):
         other = tmp_path / "elsewhere"

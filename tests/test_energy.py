@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pekar import (
     CoercivityError,
@@ -75,6 +76,27 @@ class TestGradient:
             fd = (ep - em) / (2 * h)
             an = float(np.sum(grad.values * d) * dv)
             assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(4, 12).map(lambda k: 2 * k),
+        L=st.floats(8.0, 32.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_directional_derivative_property(self, n, L, seed):
+        grid = Grid3D(n, L)
+        rng = np.random.default_rng(seed)
+        psi = smooth_random_psi(grid, rng)
+        h = smooth_random_psi(grid, rng)
+        V = Field3D(grid, rng.uniform(0.5, 2.0) * np.exp(-grid.radius() ** 2 / 8))
+        _, grad = energy_gradient(psi, V)
+        t = 1e-5
+        ep = pekar_energy(Field3D(grid, psi.values + t * h.values), V).total
+        em = pekar_energy(Field3D(grid, psi.values - t * h.values), V).total
+        fd = (ep - em) / (2 * t)
+        an = grad.inner(h)
+        # relative to ‖grad‖‖h‖, which bounds the pairing (Cauchy–Schwarz)
+        assert abs(fd - an) <= 1e-8 * grad.norm() * h.norm()
 
     def test_rayleigh_identity_two_ways(self, grid32):
         psi = smooth_random_psi(grid32, np.random.default_rng(1))

@@ -200,6 +200,32 @@ def test_golden_solves(case):
     assert len(res.history) == n_history
 
 
+@pytest.mark.parametrize("max_iters", [5, 500])
+def test_reported_residual_is_that_of_the_returned_iterate(max_iters):
+    # the stop test used to pair the last ΔE with the residual before the step
+    g = Grid3D(32, 16.0)
+    V = Field3D(g, np.zeros(g.shape))
+    seed = SeedSpec(kind="radial_gaussian", sigma=2.0)
+    box = minimize(V, SolveOptions(max_iters=max_iters, tolerance_residual=1e-4, seed=seed))
+    assert box.residual == el_residual(box.psi, V)
+    rg = RadialGrid(1024, 20.0)
+    Vr = PotentialSpec(kind="annular", R=6.0).build_radial(rg)
+    rad = minimize_radial(Vr, replace(FAST, max_iters=max_iters), seed_field=flat_seed(rg))
+    assert rad.residual == radial_el_residual(rad.psi, Vr)
+    assert box.converged == rad.converged == (max_iters == 500)
+
+
+def test_off_axis_seed_converges():
+    # Q translated along a random direction, as the rotation-orbit seeds are
+    g = Grid3D(32, 40.0)
+    V = PotentialSpec(kind="annular", R=8.0).build(g)
+    d = np.random.default_rng(0).standard_normal(3)
+    seed = translate_seed(solve_free().psi, 8.0, g, direction=tuple(d / np.linalg.norm(d)))
+    opts = SolveOptions(max_iters=2000, tolerance_residual=1e-5)
+    res = minimize(V, opts, seed_field=seed)
+    assert res.converged, f"unconverged after {res.iterations} of {opts.max_iters} iterations"
+
+
 class TestLiftedConsistency:
     def test_radial_minimizer_lifted_to_3d(self, free_radial):
         g = Grid3D(64, 32.0)

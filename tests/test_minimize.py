@@ -184,10 +184,10 @@ def _box_well_R8():
 # four quick solves; a change to the descent loop or the discrete
 # functionals that keeps the floating-point operations must keep these
 GOLDEN = {
-    "radial_free": (_radial_free, -0.10851474971705685, 20),
-    "radial_well_R6": (_radial_well_R6, -1.0233246409243308, 57),
-    "box_free": (_box_free, -0.1265620667657174, 28),
-    "box_well_R8": (_box_well_R8, -1.0730413333943603, 82),
+    "radial_free": (_radial_free, -0.1085147497151073, 17),
+    "radial_well_R6": (_radial_well_R6, -1.0233246410020975, 24),
+    "box_free": (_box_free, -0.1265620673841445, 22),
+    "box_well_R8": (_box_well_R8, -1.0730413339086164, 34),
 }
 
 

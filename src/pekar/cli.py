@@ -99,9 +99,15 @@ def _run_solve_radial(cfg: ExperimentConfig) -> tuple:
     return {"radial.json": payload, "u_rad.csv": res.psi}, [res.converged]
 
 
-def _run_solve_full(cfg: ExperimentConfig) -> tuple:
+def _solve_seeded(cfg: ExperimentConfig, V: Field3D):
+    """minimize(V) from the config's seed, a translated Q solved on the
+    config's radial grid when it has one."""
     seed = build_seed(cfg.solver.seed, cfg.grid, cfg.radial_grid)
-    res = minimize(cfg.potential.build(cfg.grid), cfg.solver, seed_field=seed)
+    return minimize(V, cfg.solver, seed_field=seed)
+
+
+def _run_solve_full(cfg: ExperimentConfig) -> tuple:
+    res = _solve_seeded(cfg, cfg.potential.build(cfg.grid))
     rho = res.psi.density()
     com = center_of_mass(rho)
     payload = {
@@ -127,7 +133,8 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple:
 def _run_perturb(cfg: ExperimentConfig) -> tuple:
     V = cfg.potential.build(cfg.grid)
     zspec = PotentialSpec(**cfg.params["z"])
-    rep = fd_derivative(V, zspec, cfg.grid, cfg.solver, deltas=cfg.params["deltas"])
+    rep = fd_derivative(V, zspec, cfg.grid, cfg.solver, deltas=cfg.params["deltas"],
+                        base=_solve_seeded(cfg, V))
     return {"derivative.csv": rep.as_rows()}, [not rep.flagged]
 
 

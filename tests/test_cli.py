@@ -236,18 +236,6 @@ class TestRunSolveFull:
         assert m1["config"] == m2["config"] == data
         assert m1["config_hash"] == m2["config_hash"]
 
-    def test_translated_q_solved_on_the_config_radial_grid(self, tmp_path):
-        # max_iters 0: e_full is the energy of the seed, the translate of Q
-        energies = []
-        for name, rgrid in (("default", None), ("coarse", {"m": 512, "r_max": 18.0})):
-            data = solve_full_cfg(str(tmp_path / name))
-            data["solver"]["max_iters"] = 0
-            if rgrid is not None:
-                data["radial_grid"] = rgrid
-            assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json")]) == 0
-            energies.append(json.loads((tmp_path / name / "full.json").read_text())["e_full"])
-        assert energies[0] != pytest.approx(energies[1], rel=1e-9, abs=0)
-
     def test_out_override(self, tmp_path):
         other = tmp_path / "elsewhere"
         cfg = write_cfg(tmp_path, solve_full_cfg(str(tmp_path / "ignored")))
@@ -285,6 +273,24 @@ class TestRunPerturb:
         assert float(row["pairing"]) == pytest.approx(1.0, abs=1e-9)
         assert float(row["richardson"]) == pytest.approx(-1.0, abs=1e-7)
         assert float(row["defect"]) < 1e-7
+
+
+@pytest.mark.parametrize("make_cfg, energy_of", [
+    (solve_full_cfg, lambda out: json.loads((out / "full.json").read_text())["e_full"]),
+    (perturb_cfg, lambda out: float(
+        (out / "derivative.csv").read_text().splitlines()[1].split(",")[1])),  # e_plus
+])
+def test_translated_q_solved_on_the_config_radial_grid(tmp_path, make_cfg, energy_of):
+    # max_iters 0: each energy is that of the seed, the translate of Q
+    energies = []
+    for name, rgrid in (("default", None), ("coarse", {"m": 512, "r_max": 18.0})):
+        data = make_cfg(str(tmp_path / name))
+        data["solver"]["max_iters"] = 0
+        if rgrid is not None:
+            data["radial_grid"] = rgrid
+        assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json")]) == 0
+        energies.append(energy_of(tmp_path / name))
+    assert energies[0] != pytest.approx(energies[1], rel=1e-9, abs=0)
 
 
 class TestRunOrbit:

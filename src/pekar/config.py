@@ -70,8 +70,8 @@ def check_in_box(path: str, R: float, grid: Grid3D) -> None:
 
 
 def _section(data: dict, path: str, fields: dict, build):
-    """build(*the section's values, each key's value passed through its check
-    in ``fields``), or None when the section is absent."""
+    """build(*the section's values, each checked by its entry in ``fields``),
+    or None when the section is absent."""
     if path not in data:
         return None
     sec = data[path]

@@ -3,7 +3,7 @@
 One test per criterion, each printing an `ACCEPTANCE <id>: PASS/FAIL` line
 (run with `pytest tests/test_acceptance.py -v -s`).  Heavy solves are
 session fixtures shared across criteria; the whole module takes roughly
-2-5 minutes on two cores, dominated by the R=8 well and the
+1-3 minutes on two cores, dominated by the R=8 well and the
 perturbation-derivative solves at n=128.
 
 Box convention: production boxes are chosen so the radial reference

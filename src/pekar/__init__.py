@@ -10,7 +10,6 @@ from .ansatz import (
     alpha_scaling_check,
     coupling_constant,
     density_fourier,
-    density_fourier_at,
     min_product_energy,
     optimal_displacement,
     product_energy,
@@ -69,7 +68,6 @@ from .minimize import (
 from .potentials import (
     PotentialSpec,
     annular_profile,
-    build_VR,
     mass_in_well,
     potential_energy,
     rotational_average,

@@ -61,14 +61,13 @@ def default_reduction_grid(grid: Grid3D) -> RadialGrid:
     return RadialGrid(m, r_max)
 
 
-def spherical_average(f: Field3D, rgrid: RadialGrid | None = None) -> RadialField:
-    """Mean of f over the sphere |x| = r_j, by Lebedev directions.
+def spherical_average(f: Field3D) -> RadialField:
+    """Mean of f over each sphere |x| = r_j of default_reduction_grid, by Lebedev.
 
     Radii beyond the inscribed ball (r > L/2) are flagged extrapolated:
     the directional samples then wrap through the periodic images.
     """
-    if rgrid is None:
-        rgrid = default_reduction_grid(f.grid)
+    rgrid = default_reduction_grid(f.grid)
     dirs, wts = _lebedev()
     r = rgrid.nodes()
     pts = r[:, None, None] * dirs[None, :, :]  # (m, N, 3)
@@ -79,15 +78,10 @@ def spherical_average(f: Field3D, rgrid: RadialGrid | None = None) -> RadialFiel
 
 
 def lift_radial(u: RadialField, grid: Grid3D) -> Field3D:
-    """Field with values u(|x|) by linear interpolation of the radial profile."""
-    corner = np.sqrt(3.0) / 2 * grid.L
-    if u.grid.r_max < corner * (1 - 1e-12):
-        raise ValueError(
-            f"radial grid r_max={u.grid.r_max} too small to cover the box "
-            f"(corner radius {corner:.6g})"
-        )
+    """Field with values u(|x|) by linear interpolation of the radial
+    profile, zero beyond the radial grid's r_max."""
     rr = grid.radius()
-    vals = np.interp(rr.ravel(), u.grid.nodes(), u.values).reshape(grid.shape)
+    vals = np.interp(rr.ravel(), u.grid.nodes(), u.values, right=0.0).reshape(grid.shape)
     return Field3D(grid, vals)
 
 

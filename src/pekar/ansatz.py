@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fields import Field3D
+from .energy import pekar_energy
+from .fields import Field3D, Grid3D
+from .spectral import kinetic_energy
 
 _GL_ORDER = 12
 
@@ -156,20 +158,6 @@ def density_fourier(rho: Field3D, kgrid: KGrid) -> np.ndarray:
     return t * rho.grid.cell_volume
 
 
-def density_fourier_at(rho: Field3D, kpts: np.ndarray) -> np.ndarray:
-    """ρ̂ at arbitrary wave vectors (N, 3); ρ̂(0) is the total mass."""
-    kpts = np.atleast_2d(np.asarray(kpts, dtype=np.float64))
-    coords = rho.grid.axis()
-    n = rho.grid.n
-    Ex = np.exp(-1j * np.outer(kpts[:, 0], coords))
-    Ey = np.exp(-1j * np.outer(kpts[:, 1], coords))
-    Ez = np.exp(-1j * np.outer(kpts[:, 2], coords))
-    t = np.einsum("ax,xyz->ayz", Ex, rho.values)
-    t = np.einsum("ay,ayz->az", Ey, t)
-    out = np.einsum("az,az->a", Ez, t)
-    return out * rho.grid.cell_volume
-
-
 def optimal_displacement(rho_hat: np.ndarray, kgrid: KGrid, alpha: float) -> PhononDisplacement:
     """z(k) = (1/(π|k|)) √(α/2) ρ̂(k), applied modewise (k=0 never on the grid)."""
     C = coupling_constant(alpha)
@@ -183,8 +171,6 @@ def product_energy(psi: Field3D, disp: PhononDisplacement, V: Field3D | None = N
     Pass the potential already in its α-scaled form (α²V(αx) sampled on
     ψ's grid); see alpha_scaling_check for the bookkeeping.
     """
-    from .spectral import kinetic_energy  # local import to avoid cycles
-
     kg = disp.kgrid
     T = kinetic_energy(psi)
     P = 0.0
@@ -222,9 +208,6 @@ def alpha_scaling_check(
     side L/α, so the scaled samples reuse φ's values exactly), the
     potential scales as α² V(αx), and the mode grid dilates to α·k_max.
     """
-    from .energy import pekar_energy  # local import to avoid cycles
-    from .fields import Grid3D
-
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     g = phi.grid

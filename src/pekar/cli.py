@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .angular import spherical_average
 from .ansatz import alpha_scaling_check, min_product_energy
-from .config import ConfigError, ExperimentConfig, check_in_box, integer, number, parsed
+from .config import ConfigError, ExperimentConfig, integer, number, parsed
 from .energy import pekar_energy
 from .experiments import (
     center_of_mass,
@@ -36,8 +36,9 @@ from .experiments import (
 )
 from .fields import Field3D, save_field, save_radial
 from .minimize import build_seed, minimize, minimize_radial, radial_gaussian_seed, solve_free
-from .potentials import PotentialSpec, mass_in_well
+from .potentials import PotentialSpec, check_in_box, mass_in_well
 from .radial import strauss_bound_check
+from .spectral import ops_for
 
 
 def _fmt(x) -> str:
@@ -116,7 +117,7 @@ def _run_solve_full(cfg: ExperimentConfig) -> tuple:
         **_solve_summary(res),
         "anisotropy": float(np.linalg.norm(com)),
         "center_of_mass": com.tolist(),
-        "boundary_flag": res.boundary_flag,
+        "boundary_flag": bool(ops_for(cfg.grid).boundary_mass(rho.values) > 1e-6),
     }
     if cfg.potential.kind == "annular":
         payload["well_mass"] = mass_in_well(rho, cfg.potential.R)
@@ -184,9 +185,9 @@ def _check_radial(cfg: ExperimentConfig) -> None:
 
 def _check_sweep(cfg: ExperimentConfig) -> None:
     for i, R in enumerate(_numbers("experiment.params.R_list", cfg.params["R_list"])):
-        if R <= 2:
-            raise ConfigError(f"experiment.params.R_list[{i}]", f"R must exceed 2, got {R}")
-        check_in_box(f"experiment.params.R_list[{i}]", R, cfg.grid)
+        path = f"experiment.params.R_list[{i}]"
+        parsed(path, PotentialSpec(kind="annular", R=R).validate)
+        parsed(path, check_in_box, R, cfg.grid)
 
 
 def _check_perturb(cfg: ExperimentConfig) -> None:

@@ -29,7 +29,7 @@ from typing import Any, Optional
 from .fields import Grid3D, RadialGrid, finite_real
 from .ansatz import KGrid
 from .minimize import SeedSpec, SolveOptions
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, check_in_box
 
 
 class ConfigError(ValueError):
@@ -61,12 +61,6 @@ def integer(path: str, value, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(path, f"must be an integer >= {minimum}, got {value!r}")
     return value
-
-
-def check_in_box(path: str, R: float, grid: Grid3D) -> None:
-    """The annular well's outer edge R+1 must lie inside the inscribed ball."""
-    if R + 1 >= grid.L / 2:
-        raise ConfigError(path, f"potential exits box: R+1 = {R + 1} >= L/2 = {grid.L / 2}")
 
 
 def _section(data: dict, path: str, fields: dict, build):
@@ -174,7 +168,7 @@ class ExperimentConfig:
             if getattr(cfg, section) is None:
                 raise ConfigError(section, f"experiment {name!r} requires the {section} section")
         if pot is not None and grid is not None and pot.kind == "annular":
-            check_in_box("potential.R", pot.R, grid)
+            parsed("potential.R", check_in_box, pot.R, grid)
         if entry.check is not None:
             entry.check(cfg)
         return cfg

@@ -68,7 +68,7 @@ class BoxFunctional:
 
     ``evaluate`` returns the breakdown and the spectra of ψ and ρ (one padded
     forward FFT); ``residual`` reuses those spectra and returns ‖(H_ψ - μ)ψ‖
-    with μ, the residual itself, and the gradient the preconditioner acts on.
+    with μ, and the gradient the preconditioner acts on.
     """
 
     def __init__(self, grid: Grid3D, V: Field3D | None = None):
@@ -94,23 +94,22 @@ class BoxFunctional:
         P = 0.0 if self.V is None else float(np.sum(self.V * rho) * self.dv)
         return EnergyBreakdown(T, D, P), (spec_psi, spec_rho)
 
-    def hamiltonian(self, values: np.ndarray, spectra=(None, None), coulomb=True) -> np.ndarray:
+    def hamiltonian(self, values: np.ndarray, spectra=(None, None)) -> np.ndarray:
         """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ, reusing the spectra of evaluate when given."""
         spec_psi, spec_rho = spectra
         h = self.ops.neg_laplacian(values, spec=spec_psi)
-        if coulomb:
-            h -= 2 * self.ops.coulomb_potential(values**2, spec_pad=spec_rho) * values
+        h -= 2 * self.ops.coulomb_potential(values**2, spec_pad=spec_rho) * values
         if self.V is not None:
             h -= self.V * values
         return h
 
-    def residual(self, values: np.ndarray, bd=None, spectra=(None, None), coulomb=True) -> tuple:
+    def residual(self, values: np.ndarray, bd=None, spectra=(None, None)) -> tuple:
         """μ = ⟨ψ, H_ψ ψ⟩, so bd is not needed; the gradient is the L² one,
         2(H_ψ - μ)ψ."""
-        h = self.hamiltonian(values, spectra, coulomb)
+        h = self.hamiltonian(values, spectra)
         mu = self.inner(values, h)
         res = h - mu * values
-        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), res, 2 * res
+        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), 2 * res
 
 
 class RadialFunctional:
@@ -155,7 +154,7 @@ class RadialFunctional:
         res[0] = 0.0
         g = M * 2 * res
         g[0] = 2 * Ku[0]
-        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), res, g
+        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), g
 
 
 # --------------------------------------------------------------------------
@@ -181,11 +180,9 @@ def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, spectra))
 
 
-def el_residual(
-    psi: Field3D, V: Field3D | None = None, include_coulomb: bool = True
-) -> ELResidual:
+def el_residual(psi: Field3D, V: Field3D | None = None) -> ELResidual:
     """Residual of the mean-field eigenvalue equation at ψ, with Rayleigh μ."""
-    return BoxFunctional(psi.grid, V).residual(psi.values, coulomb=include_coulomb)[0]
+    return BoxFunctional(psi.grid, V).residual(psi.values)[0]
 
 
 def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> EnergyBreakdown:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angular import spherical_average
+from .angular import lift_radial, spherical_average
 from .energy import pekar_energy
 from .fields import Field3D, Grid3D, RadialGrid, normalize
 from .minimize import (
@@ -45,6 +45,7 @@ from .minimize import (
     translate_seed,
 )
 from .potentials import PotentialSpec, mass_in_well, potential_energy, rotational_average
+from .spectral import ops_for
 
 
 @dataclass
@@ -144,13 +145,6 @@ def trial_upper_bound(R: float, grid: Grid3D, rgrid: Optional[RadialGrid] = None
     return free.energy.total - potential_energy(VR, QR.density())
 
 
-def lift_onto(u_values: np.ndarray, rgrid: RadialGrid, grid: Grid3D) -> Field3D:
-    """Zero-extended radial lift (decaying profiles; no corner-coverage demand)."""
-    rr = grid.radius()
-    vals = np.interp(rr.ravel(), rgrid.nodes(), u_values, right=0.0).reshape(grid.shape)
-    return Field3D(grid, vals)
-
-
 def sweep_R(
     R_list: Sequence[float],
     grid: Grid3D,
@@ -167,6 +161,7 @@ def sweep_R(
     Q, and with it the seed and the trial bound, is solved on ``rgrid``.
     """
     free = solve_free(rgrid)
+    ops_for(grid)  # build the grid's operators once, before the workers share them
 
     def run_one(R: float) -> SweepRow:
         spec = PotentialSpec(kind="annular", R=R)
@@ -178,7 +173,7 @@ def sweep_R(
         basin = "translate"
         margin = 10 * max(opts.tolerance_energy, 1e-8)
         if full.energy.total > rad.energy.total - margin:
-            seed2 = normalize(lift_onto(rad.psi.values, rgrid, grid))
+            seed2 = normalize(lift_radial(rad.psi, grid))
             alt = minimize(V, opts, seed_field=seed2)
             if alt.energy.total < full.energy.total:
                 full, basin = alt, "radial"
@@ -323,7 +318,10 @@ def rotation_orbit_evidence(
     """Solve from several random-direction seeds; compare energies and
     spherical-average density profiles.  Agreement is evidence (never
     proof) that the minimizers form one rotation orbit.  The annular
-    well's seeds translate Q solved on ``rgrid`` (default grid if None)."""
+    well's seeds translate Q solved on ``rgrid`` (default grid if None).
+    The solves leave their seeded directions: on the R=8 well at n=32, L=40
+    each lump drifts along the flat orbit to a lattice axis, so the report
+    compares lattice-axis minimizers, not a sample of the continuous orbit."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     rng = np.random.default_rng(rng_seed)

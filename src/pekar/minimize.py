@@ -55,7 +55,7 @@ STEP_INIT, STEP_MAX = 1.0, 8.0  # the first and the largest trial step
 STEP_GROW = 1.4  # next first trial, relative to the last accepted step
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 SAFEGUARD = (0.1, 0.5)  # bounds of a backtracked step, relative to the rejected one
-MAX_BACKTRACKS = 60  # rejected trials before the solve counts as stalled
+MAX_BACKTRACKS = 60  # rejected trials before the solve stops unconverged
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,12 @@ class SolveOptions:
     seed: SeedSpec = dc_field(default_factory=SeedSpec)
 
     def validate(self) -> None:
-        if operator.index(self.max_iters) < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.tolerance_energy <= 0 or self.tolerance_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        # operator.index raises TypeError on a float
+        if isinstance(self.max_iters, bool) or operator.index(self.max_iters) < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        for name in ("tolerance_energy", "tolerance_residual"):
+            if finite_real(name, getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         self.seed.validate()
 
 
@@ -111,8 +113,6 @@ class MinimizerResult:
     converged: bool
     history: np.ndarray
     norm_history: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    stalled: bool = False
-    boundary_flag: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -248,13 +248,12 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
     gz_prev = 0.0
     # a warm start already at the stationary point should return immediately
     last_dE = 0.0
-    stalled = False
 
     def done() -> bool:
         return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
 
     for it in range(opts.max_iters + 1):
-        el, _, g = F.residual(psi, bd, spectra)
+        el, g = F.residual(psi, bd, spectra)
         if done() or it == opts.max_iters:
             break
         if direction is None:  # the shift is fixed by the seed's μ
@@ -282,7 +281,6 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
             s_min = slope * s * s / (2 * (rise + slope * s))
             s = min(SAFEGUARD[1] * s, max(SAFEGUARD[0] * s, s_min))
         else:
-            stalled = True
             break
         check_coercivity(bd_t, f"iteration {it}")
         last_dE = -rise
@@ -299,7 +297,6 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         converged=done(),
         history=np.asarray(history),
         norm_history=np.asarray(norms),
-        stalled=stalled,
     )
 
 
@@ -311,10 +308,7 @@ def minimize(
     """Minimize E_V over ‖ψ‖₂ = 1 by monotone projected descent."""
     opts.validate()
     seed = normalize(seed_field) if seed_field is not None else build_seed(opts.seed, V.grid)
-    F = BoxFunctional(V.grid, V)
-    res = _descend(F, seed, opts, _spectral_direction)
-    res.boundary_flag = bool(F.ops.boundary_mass(res.psi.values**2) > 1e-6)
-    return res
+    return _descend(BoxFunctional(V.grid, V), seed, opts, _spectral_direction)
 
 
 def minimize_radial(

@@ -36,6 +36,12 @@ def smooth_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_in_box(R: float, grid: Grid3D) -> None:
+    """The annular well's outer edge R+1 must lie inside the inscribed ball."""
+    if R + 1.0 >= grid.L / 2:
+        raise ValueError(f"potential exits box: R+1 = {R + 1} >= L/2 = {grid.L / 2}")
+
+
 def annular_profile(r: np.ndarray, R: float, lam: float = 1.0) -> np.ndarray:
     if R <= 2:
         raise ValueError(f"R must exceed 2, got {R}")
@@ -108,10 +114,8 @@ class PotentialSpec:
 
     def build(self, grid: Grid3D) -> Field3D:
         self.validate()
-        if self.kind == "annular" and self.R + 1.0 >= grid.L / 2:
-            raise ValueError(
-                f"potential exits box: R+1 = {self.R + 1} >= L/2 = {grid.L / 2}"
-            )
+        if self.kind == "annular":
+            check_in_box(self.R, grid)
         if self.kind == "x1_squared":
             X, _, _ = grid.meshgrid()
             return Field3D(grid, np.broadcast_to(X * X, grid.shape).copy())
@@ -123,11 +127,6 @@ class PotentialSpec:
         if not self.is_radial:
             raise ValueError(f"potential kind {self.kind!r} is not radial")
         return RadialField(rgrid, self.profile(rgrid.nodes()))
-
-
-def build_VR(R: float, grid: Grid3D, lam: float = 1.0) -> Field3D:
-    """The annular well on the box; exact plateau values at the cell samples."""
-    return PotentialSpec(kind="annular", R=R, lam=lam).build(grid)
 
 
 def rotational_average(W: Field3D) -> Field3D:

@@ -52,15 +52,6 @@ def radial_coulomb_potential(rho: RadialField) -> np.ndarray:
     return phi
 
 
-def radial_kinetic(u: RadialField) -> float:
-    """4π ∫ u'(r)² r² dr with staggered midpoint r² weights."""
-    g = u.grid
-    r = g.nodes()
-    rm = 0.5 * (r[1:] + r[:-1])
-    du = np.diff(u.values) / g.dr
-    return float(4 * np.pi * np.sum(du * du * rm * rm * g.dr))
-
-
 def kinetic_form_coefficients(grid: RadialGrid) -> np.ndarray:
     """Segment coefficients c_j = 4π r_{j+1/2}² / dr of the kinetic quadratic form.
 
@@ -70,6 +61,11 @@ def kinetic_form_coefficients(grid: RadialGrid) -> np.ndarray:
     r = grid.nodes()
     rm = 0.5 * (r[1:] + r[:-1])
     return 4 * np.pi * rm * rm / grid.dr
+
+
+def radial_kinetic(u: RadialField) -> float:
+    """4π ∫ u'(r)² r² dr with staggered midpoint r² weights, Σ_j c_j (Δu_j)²."""
+    return float(np.sum(kinetic_form_coefficients(u.grid) * np.diff(u.values) ** 2))
 
 
 def apply_kinetic_form(u_values: np.ndarray, c_seg: np.ndarray) -> np.ndarray:

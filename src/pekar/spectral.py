@@ -20,7 +20,7 @@ of this problem, with O(1e-2) relative energy errors at working box sizes.
 
 from __future__ import annotations
 
-import threading
+import functools
 import warnings
 
 import numpy as np
@@ -30,12 +30,9 @@ from .fields import BoundarySupportWarning, Field3D, Grid3D
 
 _WORKERS = -1  # scipy.fft: use all available cores
 
-_cache: dict = {}
-_cache_lock = threading.Lock()
-
 
 class SpectralOps:
-    """Cached per-grid FFT arrays and the operations built on them."""
+    """Per-grid FFT arrays, read-only, and the operations built on them."""
 
     def __init__(self, grid: Grid3D):
         self.grid = grid
@@ -68,6 +65,8 @@ class SpectralOps:
         ax = np.abs(grid.axis())
         near = ax >= L / 2 - 2 * dx
         self.boundary_mask = near[:, None, None] | near[None, :, None] | near[None, None, :]
+        for a in (self.k2, self.dup, self.wk, self.dup_p, self.boundary_mask):
+            a.flags.writeable = False
 
     # -- transforms ---------------------------------------------------------
 
@@ -131,14 +130,10 @@ class SpectralOps:
         return float(np.sum(rho[self.boundary_mask]) * self.grid.cell_volume)
 
 
+@functools.cache
 def ops_for(grid: Grid3D) -> SpectralOps:
-    key = (grid.n, grid.L)
-    with _cache_lock:
-        ops = _cache.get(key)
-        if ops is None:
-            ops = SpectralOps(grid)
-            _cache[key] = ops
-    return ops
+    """The one SpectralOps of ``grid``; every caller on that grid shares it."""
+    return SpectralOps(grid)
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +146,7 @@ def kinetic_energy(psi: Field3D) -> float:
     return ops_for(psi.grid).kinetic(psi.values)
 
 
-def coulomb_self_energy(rho: Field3D, check_support: bool = True) -> float:
+def coulomb_self_energy(rho: Field3D) -> float:
     """D(ρ,ρ) for a nonnegative density; free-space kernel, nonnegative result.
 
     Emits BoundarySupportWarning when the density carries mass within two
@@ -162,16 +157,15 @@ def coulomb_self_energy(rho: Field3D, check_support: bool = True) -> float:
     if vals.min() < -1e-12:
         raise ValueError(f"density has negative entries (min {vals.min():.3e})")
     ops = ops_for(rho.grid)
-    if check_support:
-        edge = ops.boundary_mass(np.abs(vals))
-        total = float(np.sum(np.abs(vals)) * rho.grid.cell_volume)
-        if total > 0 and edge > 1e-9 * total:
-            warnings.warn(
-                f"density support touches the box boundary "
-                f"(boundary mass {edge:.2e} of {total:.2e})",
-                BoundarySupportWarning,
-                stacklevel=2,
-            )
+    edge = ops.boundary_mass(np.abs(vals))
+    total = float(np.sum(np.abs(vals)) * rho.grid.cell_volume)
+    if total > 0 and edge > 1e-9 * total:
+        warnings.warn(
+            f"density support touches the box boundary "
+            f"(boundary mass {edge:.2e} of {total:.2e})",
+            BoundarySupportWarning,
+            stacklevel=2,
+        )
     return ops.coulomb_energy(vals)
 
 

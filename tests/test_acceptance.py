@@ -340,16 +340,16 @@ class TestCriterion10InvarianceSuite:
         grid = Grid3D(32, 16.0)
         psi = gaussian_psi(grid, 0.8, center=(0.5, -0.25, 0.75))
         T0 = kinetic_energy(psi)
-        D0 = coulomb_self_energy(psi.density(), check_support=False)
+        D0 = coulomb_self_energy(psi.density())
         worst = 0.0
         rolled = Field3D(grid, np.roll(psi.values, (2, -1, 3), axis=(0, 1, 2)))
         worst = max(worst, abs(kinetic_energy(rolled) - T0),
-                    abs(coulomb_self_energy(rolled.density(), check_support=False) - D0))
+                    abs(coulomb_self_energy(rolled.density()) - D0))
         for tf in [lambda v: v.transpose(1, 2, 0), lambda v: v[::-1, :, ::-1],
                    lambda v: np.ascontiguousarray(v.transpose(2, 1, 0))[:, ::-1, :]]:
             g = Field3D(grid, np.ascontiguousarray(tf(psi.values)))
             worst = max(worst, abs(kinetic_energy(g) - T0),
-                        abs(coulomb_self_energy(g.density(), check_support=False) - D0))
+                        abs(coulomb_self_energy(g.density()) - D0))
         ok = worst <= 1e-12
         report("10a (translation/rotation invariance)", ok, f"worst defect {worst:.2e} (tol 1e-12)")
         assert worst <= 1e-12

@@ -74,11 +74,12 @@ class TestLiftRadial:
         u = normalize_radial(gaussian_radial(rg, 1.2))
         assert abs(lift_radial(u, g).norm() - 1.0) < 1e-4
 
-    def test_rmax_too_small_rejected(self, grid32):
+    def test_zero_extended_beyond_rmax(self, grid32):
         rg = RadialGrid(128, grid32.L / 2)  # covers the ball, not the corners
         u = RadialField(rg, np.ones(rg.m))
-        with pytest.raises(ValueError, match="too small"):
-            lift_radial(u, grid32)
+        f = lift_radial(u, grid32)
+        np.testing.assert_array_equal(f.values, np.where(grid32.radius() <= rg.r_max, 1.0, 0.0))
+        assert np.any(f.values == 0.0)
 
 
 # a grid (even n in [8, 24], any side L) and a seed for random fields on it;

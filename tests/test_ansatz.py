@@ -11,7 +11,6 @@ from pekar import (
     alpha_scaling_check,
     coupling_constant,
     density_fourier,
-    density_fourier_at,
     free_energy,
     min_product_energy,
     kinetic_energy,
@@ -83,12 +82,6 @@ class TestKGrid:
 
 
 class TestDensityFourier:
-    def test_zero_mode_is_total_mass(self, grid32):
-        rho = gaussian_psi(grid32, 1.0).density()
-        val = density_fourier_at(rho, np.zeros((1, 3)))[0]
-        assert val.real == pytest.approx(1.0, abs=1e-12)
-        assert abs(val.imag) < 1e-15
-
     def test_gaussian_transform(self, grid32):
         sigma = 1.0  # density e^{-r²/(2σ²)} has transform e^{-σ²k²/2}
         rho = gaussian_psi(grid32, sigma).density()

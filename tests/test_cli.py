@@ -140,6 +140,20 @@ class TestValidate:
             (lambda d: d.update(grid={"n": 32, "L": True}), "grid.L"),
             (lambda d: d.update(radial_grid={"m": 1024, "r_max": "20"}), "radial_grid.r_max"),
             (lambda d: d.update(kgrid={"n_k": "8", "k_max": 2.0}), "kgrid.n_k"),
+            # JSON reads NaN and Infinity; a true tolerance or max_iters used to pass
+            (
+                lambda d: d["solver"].update(tolerance_residual=float("nan")),
+                "solver: tolerance_residual must be a finite real number, got nan",
+            ),
+            (
+                lambda d: d["solver"].update(tolerance_residual=True),
+                "solver: tolerance_residual must be a finite real number, got True",
+            ),
+            (
+                lambda d: d["solver"].update(tolerance_energy=float("inf")),
+                "solver: tolerance_energy must be a finite real number, got inf",
+            ),
+            (lambda d: d["solver"].update(max_iters=True), "solver: max_iters must be an integer"),
         ],
     )
     def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edit, path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from pekar import (
     radial_pekar_energy,
 )
 from pekar.energy import check_coercivity
+from pekar.potentials import smooth_bump
 
 from conftest import gaussian_psi, gaussian_radial, smooth_random_psi
 
@@ -107,16 +110,60 @@ class TestGradient:
         assert abs(res.mu - mu2) <= 1e-10 * max(1.0, abs(mu2))
 
 
-class TestELResidual:
-    def test_single_mode_eigenfunction_linear_case(self, grid32):
-        # with the Coulomb term disabled, sin(2πx/L) is an exact eigenfunction
-        x = grid32.axis()
-        vals = np.broadcast_to(np.sin(2 * np.pi * x / grid32.L)[:, None, None], grid32.shape)
-        psi = normalize(Field3D(grid32, vals.copy()))
-        res = el_residual(psi, V=None, include_coulomb=False)
-        assert res.residual_norm < 1e-12
-        assert res.mu == pytest.approx((2 * np.pi / grid32.L) ** 2, rel=1e-12)
+def _cube_symmetries():
+    """The 48 maps of an (n, n, n) array that permute and reverse its axes;
+    each maps the cell-centred lattice, symmetric about the origin, onto itself."""
+    for perm in itertools.permutations(range(3)):
+        for flips in itertools.product((1, -1), repeat=3):
+            index = tuple(slice(None, None, f) for f in flips)
+            yield lambda v, perm=perm, index=index: np.ascontiguousarray(v.transpose(perm)[index])
 
+
+class TestLatticeSymmetryProperty:
+    """pekar_energy is invariant under the cube group (with a radial V) and
+    under lattice shifts (V = 0), for smooth random fields supported in a
+    ball of radius L/4 about the origin, well inside the inscribed ball."""
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(n=st.integers(4, 12).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1))
+    def test_invariant_under_cube_symmetries_and_shifts(self, n, seed):
+        grid = Grid3D(n, 16.0)
+        rng = np.random.default_rng(seed)
+        a = grid.L / 4
+        X, Y, Z = grid.meshgrid()
+        vals = np.zeros(grid.shape)
+        for _ in range(3):
+            c = rng.uniform(-a / 2, a / 2, size=3)
+            s2 = rng.uniform(0.5, 2.0) ** 2
+            vals += rng.uniform(0.3, 1.0) * np.exp(
+                -((X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2) / (4 * s2)
+            )
+        vals *= smooth_bump(grid.radius() / a)
+        psi = normalize(Field3D(grid, vals))
+        V = Field3D(grid, rng.uniform(0.5, 2.0) * np.exp(-grid.radius() ** 2 / 8))
+
+        def assert_same(b, ref):
+            scale = ref.kinetic + ref.coulomb + abs(ref.potential)
+            for k in ("kinetic", "coulomb", "potential", "total"):
+                assert abs(getattr(b, k) - getattr(ref, k)) <= 1e-12 * scale, k
+
+        ref = pekar_energy(psi, V)
+        for tf in _cube_symmetries():
+            assert_same(pekar_energy(Field3D(grid, tf(psi.values)), V), ref)
+
+        # whole-cell shifts that keep the support |x - shift| < L/4 inside
+        # the ball of radius L/2 - dx
+        ref = pekar_energy(psi)
+        reach = int((grid.L / 2 - grid.dx - a) / grid.dx)
+        for _ in range(4):
+            shift = rng.integers(-reach, reach + 1, size=3)
+            if np.linalg.norm(shift) > reach:
+                continue
+            rolled = Field3D(grid, np.roll(psi.values, tuple(shift), axis=(0, 1, 2)))
+            assert_same(pekar_energy(rolled), ref)
+
+
+class TestELResidual:
     def test_random_field_has_large_residual(self, grid32):
         rng = np.random.default_rng(9)
         psi = normalize(Field3D(grid32, rng.standard_normal(grid32.shape)))

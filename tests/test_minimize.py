@@ -229,12 +229,9 @@ def test_off_axis_seed_converges():
 class TestLiftedConsistency:
     def test_radial_minimizer_lifted_to_3d(self, free_radial):
         g = Grid3D(64, 32.0)
-        src = free_radial.psi.grid
-        # extend the profile grid to cover the box corner before lifting
-        big = RadialGrid(4096, np.sqrt(3) / 2 * g.L + 0.5)
-        vals = np.interp(big.nodes(), src.nodes(), free_radial.psi.values, right=0.0)
-        u = RadialField(big, vals)
-        psi = normalize(lift_radial(u, g))
+        # the profile ends before the box corner; the lift is zero beyond it
+        assert free_radial.psi.grid.r_max < np.sqrt(3) / 2 * g.L
+        psi = normalize(lift_radial(free_radial.psi, g))
         b = pekar_energy(psi)
         rel = abs(b.total - free_radial.energy.total) / abs(free_radial.energy.total)
         assert rel <= 5e-3

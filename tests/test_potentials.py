@@ -7,7 +7,6 @@ from pekar import (
     RadialGrid,
     PotentialSpec,
     annular_profile,
-    build_VR,
     lift_radial,
     mass_in_well,
     potential_energy,
@@ -48,7 +47,7 @@ class TestAnnularWell:
 
     def test_grid_field_within_bounds_and_plateaus(self):
         g = Grid3D(64, 32.0)
-        V = build_VR(6.0, g)
+        V = PotentialSpec(kind="annular", R=6.0).build(g)
         assert V.values.min() >= 0.0
         assert V.values.max() <= 1.0
         rr = g.radius()
@@ -59,17 +58,17 @@ class TestAnnularWell:
     def test_R_must_exceed_2(self):
         g = Grid3D(32, 32.0)
         with pytest.raises(ValueError, match="R must exceed 2"):
-            build_VR(1.5, g)
+            PotentialSpec(kind="annular", R=1.5).build(g)
 
     def test_potential_exits_box(self):
         g = Grid3D(32, 16.0)
         with pytest.raises(ValueError, match="potential exits box"):
-            build_VR(8.0, g)
+            PotentialSpec(kind="annular", R=8.0).build(g)
 
     def test_strength_multiplier(self):
         g = Grid3D(32, 32.0)
-        V1 = build_VR(5.0, g)
-        V2 = build_VR(5.0, g, lam=2.5)
+        V1 = PotentialSpec(kind="annular", R=5.0).build(g)
+        V2 = PotentialSpec(kind="annular", R=5.0, lam=2.5).build(g)
         np.testing.assert_allclose(V2.values, 2.5 * V1.values, rtol=1e-15)
         with pytest.raises(ValueError, match="lam"):
             PotentialSpec(kind="annular", R=5.0, lam=0.5).validate()

@@ -96,7 +96,7 @@ class TestNewtonEquivalence:
         lifted = lift_radial(rho_r, grid)
         lifted = Field3D(grid, np.clip(lifted.values, 0.0, None))
         lifted = Field3D(grid, lifted.values / lifted.mass())
-        d_3d = coulomb_self_energy(lifted, check_support=False)
+        d_3d = coulomb_self_energy(lifted)
         assert abs(d_rad - d_3d) / abs(d_rad) <= 5e-3
         assert d_rad == pytest.approx(exact, rel=5e-3)
         assert d_3d == pytest.approx(exact, rel=5e-3)

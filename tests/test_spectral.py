@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,10 +9,13 @@ from pekar import (
     BoundarySupportWarning,
     Field3D,
     Grid3D,
+    RadialGrid,
+    SolveOptions,
     coulomb_potential,
     coulomb_self_energy,
     kinetic_energy,
     normalize,
+    sweep_R,
 )
 from pekar.spectral import SpectralOps, ops_for
 
@@ -57,6 +61,18 @@ class TestKinetic:
         psi = normalize(Field3D(grid32, vals.copy()))
         assert kinetic_energy(psi) == pytest.approx((2 * np.pi / grid32.L) ** 2, rel=1e-12)
 
+    def test_single_mode_is_an_eigenfunction_of_neg_laplacian(self, grid32):
+        # -Δ sin(2πx₁/L) = (2π/L)² sin(2πx₁/L), to rounding
+        x = grid32.axis()
+        vals = np.broadcast_to(np.sin(2 * np.pi * x / grid32.L)[:, None, None], grid32.shape)
+        psi = normalize(Field3D(grid32, vals.copy())).values
+        h = ops_for(grid32).neg_laplacian(psi)
+        dv = grid32.cell_volume
+        mu = float(np.sum(psi * h) * dv)
+        res = h - mu * psi
+        assert np.sqrt(np.sum(res * res) * dv) < 1e-12
+        assert mu == pytest.approx((2 * np.pi / grid32.L) ** 2, rel=1e-12)
+
     def test_nonnegative_on_random_fields(self, grid32):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -98,7 +114,7 @@ class TestCoulomb:
         rng = np.random.default_rng(3)
         for _ in range(8):
             rho = Field3D(grid32, rng.random(grid32.shape))
-            assert coulomb_self_energy(rho, check_support=False) >= 0.0
+            assert coulomb_self_energy(rho) >= 0.0
 
     def test_triangle_inequality_of_coulomb_metric(self, grid32):
         # |√D(ρ₁) - √D(ρ₂)| ≤ √D(ρ₁-ρ₂): positivity of the quadratic form
@@ -118,6 +134,32 @@ class TestCoulomb:
         phi = coulomb_potential(rho)
         pair = rho.inner(phi)
         assert pair == pytest.approx(coulomb_self_energy(rho), rel=1e-13)
+
+
+class TestOperatorCache:
+    def test_arrays_refuse_writes(self, grid32):
+        ops = ops_for(grid32)
+        with pytest.raises(ValueError):
+            ops.wk[0, 0, 0] = 1.0
+        for a in (ops.k2, ops.dup, ops.dup_p, ops.boundary_mask):
+            assert not a.flags.writeable
+        assert ops_for(Grid3D(32, 16.0)) is ops
+
+    def test_sweep_builds_the_operators_once(self, monkeypatch):
+        # a grid no other test uses, so its operators are built here
+        grid = Grid3D(16, 17.0)
+        built = []
+        init = SpectralOps.__init__
+
+        def counting(self, g):
+            built.append(g)
+            time.sleep(0.2)  # a slow build: workers that both missed the cache would both build
+            init(self, g)
+
+        monkeypatch.setattr(SpectralOps, "__init__", counting)
+        rows = sweep_R([3.0, 4.0], grid, RadialGrid(256, 16.0), SolveOptions(max_iters=3), workers=2)
+        assert len(rows) == 2
+        assert built == [grid]
 
 
 class TestPrunedTransforms:
@@ -146,12 +188,12 @@ class TestLatticeInvariance:
         # free-space energies are genuinely translation invariant
         psi = gaussian_psi(grid32, 0.8, center=(0.5, -0.25, 0.75))
         T0 = kinetic_energy(psi)
-        D0 = coulomb_self_energy(psi.density(), check_support=False)
+        D0 = coulomb_self_energy(psi.density())
         for shift in [(1, -2, 3), (4, 2, -1)]:
             rolled = Field3D(grid32, np.roll(psi.values, shift, axis=(0, 1, 2)))
             assert abs(kinetic_energy(rolled) - T0) <= 1e-12 * max(1.0, T0)
             assert (
-                abs(coulomb_self_energy(rolled.density(), check_support=False) - D0)
+                abs(coulomb_self_energy(rolled.density()) - D0)
                 <= 1e-12 * max(1.0, D0)
             )
 
@@ -164,7 +206,7 @@ class TestLatticeInvariance:
 
     def test_cubic_symmetry_invariance(self, grid32):
         psi = gaussian_psi(grid32, 1.0, center=(0.5, 0.9, -0.7))
-        T0, D0 = kinetic_energy(psi), coulomb_self_energy(psi.density(), check_support=False)
+        T0, D0 = kinetic_energy(psi), coulomb_self_energy(psi.density())
         n0 = psi.norm()
         transforms = [
             lambda v: v.transpose(1, 0, 2),
@@ -178,7 +220,7 @@ class TestLatticeInvariance:
             g = Field3D(grid32, np.ascontiguousarray(tf(psi.values)))
             assert abs(g.norm() - n0) <= 1e-12
             assert abs(kinetic_energy(g) - T0) <= 1e-12 * max(1.0, T0)
-            assert abs(coulomb_self_energy(g.density(), check_support=False) - D0) <= 1e-12 * max(1.0, D0)
+            assert abs(coulomb_self_energy(g.density()) - D0) <= 1e-12 * max(1.0, D0)
 
 
 class TestFreeSpaceAccuracy:
@@ -189,8 +231,8 @@ class TestFreeSpaceAccuracy:
         psi1 = gaussian_psi(g, 0.8, center=(-d / 2, 0, 0))
         psi2 = gaussian_psi(g, 0.8, center=(+d / 2, 0, 0))
         rho = Field3D(g, 0.5 * psi1.density().values + 0.5 * psi2.density().values)
-        D_self = coulomb_self_energy(psi1.density(), check_support=False)
-        D = coulomb_self_energy(rho, check_support=False)
+        D_self = coulomb_self_energy(psi1.density())
+        D = coulomb_self_energy(rho)
         # D = 2·(1/4)·D_self + 2·(1/4)·q_pair/d with q=1 blobs
         cross = D - 0.5 * D_self
         assert cross == pytest.approx(0.5 / d, rel=1e-6)

@@ -129,7 +129,6 @@ class ExperimentConfig:
         pot = None
         if "potential" in data:
             pot = parsed("potential", lambda p: PotentialSpec(**p), data["potential"])
-            parsed("potential", pot.validate)
 
         rng_seed = integer("seed", data.get("seed", 0), 0)
         output_dir = data.get("output_dir", "out")
@@ -143,12 +142,8 @@ class ExperimentConfig:
         if "seed" in solver_data:
             sd = parsed("solver.seed", dict, solver_data.pop("seed"))
             sd.setdefault("rng_seed", rng_seed)
-            if "direction" in sd:
-                sd["direction"] = parsed("solver.seed.direction", tuple, sd["direction"])
             seed_spec = parsed("solver.seed", lambda: SeedSpec(**sd))
-            parsed("solver.seed", seed_spec.validate)
         solver = parsed("solver", lambda: SolveOptions(seed=seed_spec, **solver_data))
-        parsed("solver", solver.validate)
 
         cfg = cls(
             experiment=name,

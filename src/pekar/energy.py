@@ -74,6 +74,7 @@ class BoxFunctional:
     def __init__(self, grid: Grid3D, V: Field3D | None = None):
         if V is not None and V.grid != grid:
             raise ValueError("potential and wave function live on different grids")
+        self.grid = grid
         self.ops = ops_for(grid)
         self.dv = grid.cell_volume
         self.V = None if V is None else V.values

@@ -226,7 +226,6 @@ def fd_derivative(
     """
     if not deltas:
         raise ValueError("deltas must be non-empty")
-    Zspec.validate()
     if not Zspec.is_radial:
         raise ValueError("derivative checks require a radial perturbation Z")
     Z = Zspec.build(grid)
@@ -312,14 +311,14 @@ def rotation_orbit_evidence(
     grid: Grid3D,
     opts: SolveOptions = SolveOptions(),
     rng_seed: int = 0,
-    recenter: bool = False,
     rgrid: Optional[RadialGrid] = None,
 ) -> OrbitReport:
     """Solve from several random-direction seeds; compare energies and
     spherical-average density profiles.  Agreement is evidence (never
     proof) that the minimizers form one rotation orbit.  The annular
     well's seeds translate Q solved on ``rgrid`` (default grid if None).
-    The solves leave their seeded directions: on the R=8 well at n=32, L=40
+    Non-annular solves are recentred by their centre of mass before their
+    profiles are compared.  The solves leave their seeded directions: on the R=8 well at n=32, L=40
     each lump drifts along the flat orbit to a lattice axis, so the report
     compares lattice-axis minimizers, not a sample of the continuous orbit."""
     if n_seeds < 1:
@@ -338,7 +337,7 @@ def rotation_orbit_evidence(
             )
         res = minimize(V, opts, seed_field=seed)
         psi = res.psi
-        if recenter:
+        if Vspec.kind != "annular":
             shift = np.rint(center_of_mass(psi.density()) / grid.dx).astype(int)
             psi = Field3D(grid, np.roll(psi.values, tuple(-shift), axis=(0, 1, 2)))
         prof = spherical_average(psi.density())

@@ -73,18 +73,22 @@ class SeedSpec:
     amplitude: float = 0.05  # random_perturbed: relative noise level
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("radial_gaussian", "translated_q", "random_perturbed"):
             raise ValueError(f"unknown seed kind {self.kind!r}")
         if self.kind == "translated_q" and self.R is None:
             raise ValueError("translated_q seed needs R")
         for name in ("sigma", "amplitude") + (("R",) if self.R is not None else ()):
             finite_real(name, getattr(self, name))
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3,) or not np.all(np.isfinite(d)) or not d.any():
             raise ValueError(f"direction must be 3 finite numbers, not all 0; got {self.direction}")
+        # a tuple, so that the spec can key the solve caches
+        object.__setattr__(self, "direction", tuple(self.direction))
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,13 @@ class SolveOptions:
     tolerance_residual: float = 1e-5
     seed: SeedSpec = dc_field(default_factory=SeedSpec)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # operator.index raises TypeError on a float
         if isinstance(self.max_iters, bool) or operator.index(self.max_iters) < 0:
             raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         for name in ("tolerance_energy", "tolerance_residual"):
             if finite_real(name, getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        self.seed.validate()
 
 
 @dataclass
@@ -173,7 +176,6 @@ def random_perturbed_seed(
 def build_seed(spec: SeedSpec, grid: Grid3D, rgrid: Optional[RadialGrid] = None) -> Field3D:
     """The seed ``spec`` describes on ``grid``; a translated Q is solved on
     ``rgrid`` (the default radial grid if None)."""
-    spec.validate()
     if spec.kind == "translated_q":
         return translate_seed(solve_free(rgrid).psi, spec.R, grid, spec.direction)
     if spec.kind == "random_perturbed":
@@ -182,7 +184,6 @@ def build_seed(spec: SeedSpec, grid: Grid3D, rgrid: Optional[RadialGrid] = None)
 
 
 def build_radial_seed(spec: SeedSpec, rgrid: RadialGrid) -> RadialField:
-    spec.validate()
     r = rgrid.nodes()
     if spec.kind == "translated_q":
         # radial problem cannot hold an off-center lump; use a shell at ζ instead
@@ -237,6 +238,8 @@ def _banded_direction(F: RadialFunctional, shift: float):
 def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, preconditioner):
     """Monotone preconditioned CG descent of the discrete functional F from a
     normalized seed; ``preconditioner(F, shift)`` builds the direction map."""
+    if seed.grid != F.grid:
+        raise ValueError("seed and potential live on different grids")
     psi = seed.values
     bd, spectra = F.evaluate(psi)
     check_coercivity(bd, "seed evaluation")
@@ -306,7 +309,6 @@ def minimize(
     seed_field: Optional[Field3D] = None,
 ) -> MinimizerResult:
     """Minimize E_V over ‖ψ‖₂ = 1 by monotone projected descent."""
-    opts.validate()
     seed = normalize(seed_field) if seed_field is not None else build_seed(opts.seed, V.grid)
     return _descend(BoxFunctional(V.grid, V), seed, opts, _spectral_direction)
 
@@ -317,7 +319,6 @@ def minimize_radial(
     seed_field: Optional[RadialField] = None,
 ) -> MinimizerResult:
     """Same descent scheme in the radial discretization (Newton Coulomb)."""
-    opts.validate()
     rgrid = Vr.grid
     seed = (
         normalize_radial(seed_field) if seed_field is not None else build_radial_seed(opts.seed, rgrid)

@@ -81,7 +81,7 @@ class PotentialSpec:
     _RADIAL_KINDS = ("annular", "constant", "radial_bump", "radial_gaussian")
     _KINDS = _RADIAL_KINDS + ("x1_squared",)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         for name in ("R", "lam", "value", "center", "width", "amplitude"):
@@ -100,7 +100,6 @@ class PotentialSpec:
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Radial profile V(r); only for radial kinds."""
-        self.validate()
         r = np.asarray(r, dtype=np.float64)
         if self.kind == "annular":
             return annular_profile(r, self.R, self.lam)
@@ -113,7 +112,6 @@ class PotentialSpec:
         raise ValueError(f"potential kind {self.kind!r} has no radial profile")
 
     def build(self, grid: Grid3D) -> Field3D:
-        self.validate()
         if self.kind == "annular":
             check_in_box(self.R, grid)
         if self.kind == "x1_squared":
@@ -123,9 +121,6 @@ class PotentialSpec:
         return Field3D(grid, self.profile(rr.ravel()).reshape(grid.shape))
 
     def build_radial(self, rgrid: RadialGrid) -> RadialField:
-        self.validate()
-        if not self.is_radial:
-            raise ValueError(f"potential kind {self.kind!r} is not radial")
         return RadialField(rgrid, self.profile(rgrid.nodes()))
 
 

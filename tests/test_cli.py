@@ -135,6 +135,11 @@ class TestValidate:
                 lambda d: d["solver"].update(seed={"kind": "random_perturbed", "rng_seed": "x"}),
                 "solver.seed: rng_seed",
             ),
+            # a seed width <= 0 used to pass validate and fail in run (or run as |sigma|)
+            (
+                lambda d: d["solver"].update(seed={"kind": "radial_gaussian", "sigma": 0}),
+                "solver.seed: sigma",
+            ),
             # grid sizes used to be coerced with int() and float()
             (lambda d: d.update(grid={"n": 32.9, "L": 40.0}), "grid.n"),
             (lambda d: d.update(grid={"n": 32, "L": True}), "grid.L"),
@@ -174,6 +179,15 @@ class TestReadme:
     def test_experiments_list_matches_registry(self):
         listed = re.search(r"^Experiments:(.*?)\n\n", README.read_text(), re.S | re.M).group(1)
         assert re.findall(r"`([^`]+)`", listed) == list(EXPERIMENTS)
+
+    def test_experiment_table_matches_registry(self):
+        table = re.search(r"^\| experiment \| needs \| params \(default\) \|\n\|[-|]+\|\n(.*?)\n\n",
+                          README.read_text(), re.S | re.M).group(1)
+        rows = [[c.strip() for c in line.strip("|").split("|")] for line in table.splitlines()]
+        assert [name for name, _, _ in rows] == list(EXPERIMENTS)
+        for name, needs, params in rows:
+            assert tuple(re.findall(r"`(\w+)`", needs.split(";")[0])) == EXPERIMENTS[name].sections
+            assert re.findall(r"`([A-Za-z_]\w*)`", params) == list(EXPERIMENTS[name].params)
 
 
 class TestRunSolveFree:

@@ -87,7 +87,7 @@ class TestValidation:
 
     def test_declared_defaults_filled_in(self):
         cfg = ExperimentConfig.from_dict(make(experiment={"name": "orbit"}))
-        assert cfg.params == {"n_seeds": 2, "recenter": None}
+        assert cfg.params == {"n_seeds": 2}
 
 
 # the params each experiment needs before any other param can be varied

@@ -19,6 +19,7 @@ from pekar import (
     normalize,
     pekar_energy,
     radial_el_residual,
+    radial_gaussian_seed,
     shell_profile,
     solve_free,
     translate_seed,
@@ -269,25 +270,75 @@ class TestTranslateSeed:
 class TestOptions:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ValueError):
-            SolveOptions(tolerance_energy=-1.0).validate()
+            SolveOptions(tolerance_energy=-1.0)
         with pytest.raises(ValueError):
-            SolveOptions(tolerance_residual=0.0).validate()
+            SolveOptions(tolerance_residual=0.0)
 
     def test_bad_seed_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown seed kind"):
-            SeedSpec(kind="warmish").validate()
+            SeedSpec(kind="warmish")
 
     def test_translated_q_needs_R(self):
         with pytest.raises(ValueError, match="needs R"):
-            SeedSpec(kind="translated_q").validate()
+            SeedSpec(kind="translated_q")
 
     @pytest.mark.parametrize(
         "direction", [(0.0, 0.0, 0.0), (1.0, 0.0), (1.0, float("nan"), 0.0), ("x", 0, 0)]
     )
     def test_bad_direction_rejected(self, direction):
         with pytest.raises(ValueError):
-            SeedSpec(direction=direction).validate()
+            SeedSpec(direction=direction)
 
     def test_fractional_max_iters_rejected(self):
         with pytest.raises(TypeError):
-            SolveOptions(max_iters=2.5).validate()
+            SolveOptions(max_iters=2.5)
+
+    @pytest.mark.parametrize(
+        "spec, bad",
+        [
+            (PotentialSpec(), {"kind": "coulombic"}),
+            (PotentialSpec(), {"value": float("nan")}),
+            (PotentialSpec(), {"amplitude": True}),
+            (PotentialSpec(kind="annular"), {"R": 2.0}),
+            (PotentialSpec(kind="annular"), {"lam": 0.5}),
+            (PotentialSpec(kind="radial_bump"), {"width": 0.0}),
+            (SeedSpec(), {"kind": "warmish"}),
+            (SeedSpec(), {"kind": "translated_q"}),
+            (SeedSpec(), {"sigma": 0.0}),
+            (SeedSpec(), {"sigma": -2.0}),
+            (SeedSpec(), {"amplitude": "big"}),
+            (SeedSpec(), {"rng_seed": -1}),
+            (SeedSpec(), {"direction": (0.0, 0.0, 0.0)}),
+            (SolveOptions(), {"max_iters": -1}),
+            (SolveOptions(), {"max_iters": 2.5}),
+            (SolveOptions(), {"tolerance_energy": 0.0}),
+            (SolveOptions(), {"tolerance_residual": -1.0}),
+            (SolveOptions(), {"tolerance_residual": float("inf")}),
+        ],
+    )
+    def test_invalid_spec_cannot_be_built(self, spec, bad):
+        with pytest.raises((TypeError, ValueError)):
+            type(spec)(**{**vars(spec), **bad})
+        with pytest.raises((TypeError, ValueError)):
+            replace(spec, **bad)
+
+    def test_list_direction_keys_the_free_solve_cache(self):
+        seed = SeedSpec(direction=[0.0, 0.0, 1.0])
+        assert seed.direction == (0.0, 0.0, 1.0)
+        res = solve_free(RadialGrid(64, 10.0), SolveOptions(max_iters=3, seed=seed))
+        assert res.iterations <= 3
+
+
+class TestSeedOnAnotherGrid:
+    def test_box_seed_rejected(self):
+        g = Grid3D(16, 20.0)
+        V = Field3D(g, np.zeros(g.shape))
+        seed = radial_gaussian_seed(Grid3D(16, 40.0), 2.0)
+        with pytest.raises(ValueError, match="different grids"):
+            minimize(V, SolveOptions(max_iters=3), seed_field=seed)
+
+    def test_radial_seed_rejected(self):
+        rg = RadialGrid(256, 20.0)
+        Vr = RadialField(rg, np.zeros(rg.m))
+        with pytest.raises(ValueError, match="different grids"):
+            minimize_radial(Vr, SolveOptions(max_iters=3), seed_field=flat_seed(RadialGrid(256, 10.0)))

@@ -71,7 +71,7 @@ class TestAnnularWell:
         V2 = PotentialSpec(kind="annular", R=5.0, lam=2.5).build(g)
         np.testing.assert_allclose(V2.values, 2.5 * V1.values, rtol=1e-15)
         with pytest.raises(ValueError, match="lam"):
-            PotentialSpec(kind="annular", R=5.0, lam=0.5).validate()
+            PotentialSpec(kind="annular", R=5.0, lam=0.5)
 
 
 class TestRotationalAverage:
@@ -157,7 +157,7 @@ class TestPotentialEnergyAndWellMass:
 class TestPotentialSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown potential kind"):
-            PotentialSpec(kind="coulombic").validate()
+            PotentialSpec(kind="coulombic")
 
     def test_radial_bump_profile_support(self):
         spec = PotentialSpec(kind="radial_bump", center=5.0, width=2.0, amplitude=1.0)

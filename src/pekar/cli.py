@@ -1,14 +1,14 @@
 """Batch front-end: validate configs, run experiments, export artifacts.
 
     pekar validate --config cfg.json
-    pekar run --config cfg.json [--out DIR] [--workers N] [--strict] [--seed U64]
+    pekar run --config cfg.json [--out DIR] [--strict] [--seed U64]
 
-Exit codes: 0 success, 2 validation error, 3 solver non-convergence in
-strict mode.  Each flag given to ``run`` overrides the config field of the
-same meaning and is checked like it.  Every run writes a manifest.json
-carrying the config, its hash, library versions, the RNG seed, wall times
-and the name of every other file written; identical config + seed +
-worker count reproduces all numeric outputs bit-identically.
+Exit codes: 0 success, 2 validation error (an unknown config key is one),
+3 solver non-convergence in strict mode.  Each flag given to ``run``
+overrides the config field of the same meaning and is checked like it.
+Every run writes a manifest.json carrying the config, its hash, library
+versions, the RNG seed, wall times and the name of every other file
+written; identical config + seed reproduces all numeric outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _run_solve_full(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple:
-    rows = sweep_R(cfg.params["R_list"], cfg.grid, cfg.radial_grid, cfg.solver, workers=cfg.workers)
+    rows = sweep_R(cfg.params["R_list"], cfg.grid, cfg.radial_grid, cfg.solver)
     return {"sweep.csv": [r.as_dict() for r in rows]}, [not r.flagged for r in rows]
 
 
@@ -253,7 +253,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    flags = {k: getattr(args, k) for k in ("output_dir", "workers", "strict", "seed")}
+    flags = {k: getattr(args, k) for k in ("output_dir", "strict", "seed")}
     cfg = _load(args.config, {k: v for k, v in flags.items() if v is not None})
     if cfg is None:
         return 2
@@ -268,7 +268,6 @@ def cmd_run(args) -> int:
         "config_hash": cfg.config_hash(),
         "experiment": cfg.experiment,
         "rng_seed": cfg.rng_seed,
-        "workers": cfg.workers,
         "strict": cfg.strict,
         "wall_time_s": wall,
         "versions": {
@@ -297,7 +296,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     # each flag given overrides the config field named by its dest
     p_run.add_argument("--out", dest="output_dir", help="output directory")
-    p_run.add_argument("--workers", type=int, help="worker pool size")
     p_run.add_argument("--strict", action="store_const", const=True, help="fail on non-convergence")
     p_run.add_argument("--seed", type=int, help="RNG seed")
     p_run.set_defaults(func=cmd_run)

@@ -1,7 +1,7 @@
 """Experiment configuration: one JSON file drives validation, hashing, runs.
 
 Schema (a section is optional unless the experiment's entry in ``pekar.cli.EXPERIMENTS``
-needs it; that entry also declares the params):
+needs it; that entry also declares the params; any other key, at any level, is an error):
 
     {
       "grid":        {"n": 128, "L": 48.0},
@@ -13,7 +13,6 @@ needs it; that entry also declares the params):
                       "seed": {"kind": "translated_q", "R": 8.0}},
       "experiment":  {"name": "sweep-R", "params": {"R_list": [6, 8, 10]}},
       "output_dir":  "out",
-      "workers": 1,
       "seed": 12345,
       "strict": false
     }
@@ -63,6 +62,13 @@ def integer(path: str, value, minimum: int = 1) -> int:
     return value
 
 
+def _only(path: str, obj: dict, allowed) -> None:
+    """Raise a ConfigError naming ``path`` + the first key of ``obj`` not in ``allowed``."""
+    for k in obj:
+        if k not in allowed:
+            raise ConfigError(path + k, f"takes only {sorted(allowed)}")
+
+
 def _section(data: dict, path: str, fields: dict, build):
     """build(*the section's values, each checked by its entry in ``fields``),
     or None when the section is absent."""
@@ -71,6 +77,7 @@ def _section(data: dict, path: str, fields: dict, build):
     sec = data[path]
     if not isinstance(sec, dict):
         raise ConfigError(path, "must be an object")
+    _only(f"{path}.", sec, fields)
     for k in fields:
         if k not in sec:
             raise ConfigError(f"{path}.{k}", "missing required field")
@@ -88,7 +95,6 @@ class ExperimentConfig:
     potential: Optional[PotentialSpec] = None
     solver: SolveOptions = dc_field(default_factory=SolveOptions)
     output_dir: str = "out"
-    workers: int = 1
     rng_seed: int = 0
     strict: bool = False
     raw: dict = dc_field(default_factory=dict)
@@ -102,12 +108,14 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config", "must be an object")
         raw, data = data, {**data, **(overrides or {})}
+        _only("", data, ("experiment", "grid", "radial_grid", "kgrid", "potential", "solver",
+                         "output_dir", "seed", "strict"))
         if "experiment" not in data:
             raise ConfigError("config.experiment", "missing required field")
         exp = data["experiment"]
-        exp = {"name": exp} if isinstance(exp, str) else exp
         if not isinstance(exp, dict) or "name" not in exp:
             raise ConfigError("experiment.name", "missing required field")
+        _only("experiment.", exp, ("name", "params"))
         name = exp["name"]
         if not isinstance(name, str) or name not in EXPERIMENTS:
             raise ConfigError(
@@ -117,11 +125,7 @@ class ExperimentConfig:
         given = exp.get("params", {})
         if not isinstance(given, dict):
             raise ConfigError("experiment.params", "must be an object")
-        for k in given:
-            if k not in entry.params:
-                raise ConfigError(
-                    f"experiment.params.{k}", f"{name!r} takes only {sorted(entry.params)}"
-                )
+        _only("experiment.params.", given, entry.params)
 
         grid = _section(data, "grid", {"n": integer, "L": number}, Grid3D)
         rgrid = _section(data, "radial_grid", {"m": integer, "r_max": number}, RadialGrid)
@@ -154,7 +158,6 @@ class ExperimentConfig:
             potential=pot,
             solver=solver,
             output_dir=output_dir,
-            workers=integer("workers", data.get("workers", 1), 1),
             rng_seed=rng_seed,
             strict=strict,
             raw=raw,
@@ -212,5 +215,5 @@ class ExperimentConfig:
             "tolerance_residual": self.solver.tolerance_residual,
             "seed_kind": self.solver.seed.kind,
         }
-        rep.update(workers=self.workers, rng_seed=self.rng_seed, strict=self.strict)
+        rep.update(rng_seed=self.rng_seed, strict=self.strict)
         return rep

@@ -25,6 +25,7 @@ Two headline computations.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -150,7 +151,6 @@ def sweep_R(
     grid: Grid3D,
     rgrid: RadialGrid,
     opts: SolveOptions = SolveOptions(),
-    workers: int = 1,
 ) -> list:
     """One row per R: full solve seeded at the translate, radial solve, bound.
 
@@ -161,7 +161,7 @@ def sweep_R(
     Q, and with it the seed and the trial bound, is solved on ``rgrid``.
     """
     free = solve_free(rgrid)
-    ops_for(grid)  # build the grid's operators once, before the workers share them
+    ops_for(grid)  # build the grid's operators once, before the threads share them
 
     def run_one(R: float) -> SweepRow:
         spec = PotentialSpec(kind="annular", R=R)
@@ -192,10 +192,8 @@ def sweep_R(
             basin=basin,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, R_list))
-    return [run_one(R) for R in R_list]
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        return list(pool.map(run_one, R_list))
 
 
 def perturbed_energy(
@@ -216,7 +214,8 @@ def fd_derivative(
     grid: Grid3D,
     opts: SolveOptions = SolveOptions(),
     deltas: Sequence[float] = (0.04, 0.02, 0.01),
-    base: Optional[MinimizerResult] = None,
+    *,
+    base: MinimizerResult,
 ) -> DerivativeReport:
     """Central differences of δ ↦ e(V + δZ) against the pairing -∫Z|u_V|².
 
@@ -229,8 +228,6 @@ def fd_derivative(
     if not Zspec.is_radial:
         raise ValueError("derivative checks require a radial perturbation Z")
     Z = Zspec.build(grid)
-    if base is None:
-        base = minimize(V, opts)
     uV = base.psi
     e0 = base.energy.total
     pairing = potential_energy(Z, uV.density())

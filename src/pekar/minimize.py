@@ -105,6 +105,8 @@ class SolveOptions:
         for name in ("tolerance_energy", "tolerance_residual"):
             if finite_real(name, getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not isinstance(self.seed, SeedSpec):
+            raise TypeError(f"seed must be a SeedSpec, got {self.seed!r}")
 
 
 @dataclass

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pekar import cli
 from pekar.cli import EXPERIMENTS, main
 from pekar.config import ExperimentConfig
 from pekar.fields import load_field
@@ -189,6 +190,14 @@ class TestReadme:
             assert tuple(re.findall(r"`(\w+)`", needs.split(";")[0])) == EXPERIMENTS[name].sections
             assert re.findall(r"`([A-Za-z_]\w*)`", params) == list(EXPERIMENTS[name].params)
 
+    def test_run_synopsis_matches_the_parser(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        parsed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+        for doc in (README.read_text(), cli.__doc__):
+            line = re.search(r"^\s*pekar run .*$", doc, re.M).group(0)
+            assert set(re.findall(r"--\w+", line)) == parsed
+
 
 class TestRunSolveFree:
     def test_artifacts_and_manifest(self, tmp_path):
@@ -359,11 +368,17 @@ class TestRunProductEnergy:
 
 
 class TestFlagsAreConfigFields:
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_bad_workers_flag_exits_2(self, tmp_path, capsys, workers):
-        cfg = write_cfg(tmp_path, solve_full_cfg(str(tmp_path / "out")))
-        assert main(["run", "--config", cfg, "--workers", workers]) == 2
-        assert "workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("key", ["workers", "seeed"])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, key):
+        data = solve_full_cfg(str(tmp_path / "out"))
+        cfg = write_cfg(tmp_path, {**data, key: 1})
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg]) == 2
+            assert f"invalid: {key}: takes only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit) as exc:  # nor is there a flag for it
+            main(["run", "--config", write_cfg(tmp_path, data), f"--{key}", "2"])
+        assert exc.value.code == 2
 
     def test_strict_must_be_a_bool(self, tmp_path, capsys):
         data = solve_full_cfg(str(tmp_path / "out"))
@@ -387,8 +402,8 @@ EDITS = {
     ("grid", "n"): [16, 31, "32"],
     ("potential", "R"): [4.0, 1.5, 12.0, "4"],
 }
-FLAGS = {"--out": ["dir", ""], "--workers": [3, 1, 0, -1], "--seed": [0, 5, -1], "--strict": [True]}
-FIELDS = {"--out": "output_dir", "--workers": "workers", "--seed": "seed", "--strict": "strict"}
+FLAGS = {"--out": ["dir", ""], "--seed": [0, 5, -1], "--strict": [True]}
+FIELDS = {"--out": "output_dir", "--seed": "seed", "--strict": "strict"}
 
 
 def _stub_run(cfg):

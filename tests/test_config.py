@@ -85,6 +85,20 @@ class TestValidation:
                 make(experiment={"name": "product-energy", "params": {"sigmaa": 1.0}})
             )
 
+    @pytest.mark.parametrize(
+        "over, path",
+        [
+            ({"seeed": 9}, "seeed"),
+            ({"experiment": {"name": "orbit", "parms": {"n_seeds": 5}}}, "experiment.parms"),
+            ({"grid": {"n": 32, "L": 20.0, "N": 64}}, "grid.N"),
+            ({"radial_grid": {"m": 512, "r_max": 18.0, "dr": 0.1}}, "radial_grid.dr"),
+            ({"kgrid": {"n_k": 8, "k_max": 2.0, "nk": 8}}, "kgrid.nk"),
+        ],
+    )
+    def test_unknown_key_rejected(self, over, path):
+        with pytest.raises(ConfigError, match=f"^{path}: takes only"):
+            ExperimentConfig.from_dict(make(**over))
+
     def test_declared_defaults_filled_in(self):
         cfg = ExperimentConfig.from_dict(make(experiment={"name": "orbit"}))
         assert cfg.params == {"n_seeds": 2}
@@ -100,7 +114,7 @@ JSON_VALUES = st.recursive(
 )
 
 # (experiment, key): every declared param of every experiment, then the
-# top-level workers and seed
+# top-level seed and workers, a key that no config takes
 SLOTS = [(name, p) for name, e in EXPERIMENTS.items() for p in e.params]
 SLOTS += [("solve-full", "workers"), ("solve-full", "seed")]
 
@@ -154,7 +168,7 @@ class TestDerivedReport:
         ops = SpectralOps(Grid3D(16, 8.0))
         cfg = ExperimentConfig.from_dict(
             {"grid": {"n": 16, "L": 8.0}, "kgrid": {"n_k": 8, "k_max": 2.0},
-             "experiment": "product-energy"}
+             "experiment": {"name": "product-energy"}}
         )
         npad = ops.npad
         kept = ops.k2.nbytes + ops.wk.nbytes + ops.boundary_mask.nbytes

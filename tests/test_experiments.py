@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -159,18 +160,19 @@ class TestFdDerivative:
         iters = [c[2] for c in calls]
         assert sum(iters[2:]) < sum(iters[:2])
 
-    def test_empty_deltas_rejected_before_the_base_solve(self, grid_R4, monkeypatch):
+    def test_empty_deltas_rejected_before_the_base_solve(self, grid_R4, base_R4, monkeypatch):
         import pekar.experiments as exp
 
         monkeypatch.setattr(exp, "minimize", lambda *a, **k: pytest.fail("base solve started"))
         V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
         with pytest.raises(ValueError, match="deltas must be non-empty"):
-            fd_derivative(V, PotentialSpec(kind="constant", value=1.0), grid_R4, OPTS, deltas=[])
+            fd_derivative(V, PotentialSpec(kind="constant", value=1.0), grid_R4, OPTS, deltas=[],
+                          base=base_R4)
 
-    def test_nonradial_perturbation_rejected(self, grid_R4):
+    def test_nonradial_perturbation_rejected(self, grid_R4, base_R4):
         V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
         with pytest.raises(ValueError, match="radial"):
-            fd_derivative(V, PotentialSpec(kind="x1_squared"), grid_R4, OPTS)
+            fd_derivative(V, PotentialSpec(kind="x1_squared"), grid_R4, OPTS, base=base_R4)
 
 
 class TestRotationalDensityCheck:
@@ -233,12 +235,15 @@ class TestSweep:
         (row,) = sweep_R([4.0], grid, rg, SolveOptions(max_iters=5))
         assert row.trial_bound == trial_upper_bound(4.0, grid, rg)
 
-    def test_workers_give_identical_rows(self, grid_R4):
+    def test_workers_give_identical_rows(self, grid_R4, monkeypatch):
+        # the sweep runs one thread per core, so two cores solve the two R's at once
         rg = RadialGrid(1024, np.sqrt(3) / 2 * grid_R4.L + 0.5)
-        serial = sweep_R([4.0], grid_R4, rg, OPTS, workers=1)
-        threaded = sweep_R([4.0], grid_R4, rg, OPTS, workers=2)
-        assert serial[0].e_full == threaded[0].e_full
-        assert serial[0].e_rad == threaded[0].e_rad
+        opts = replace(OPTS, max_iters=60)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = sweep_R([4.0, 4.5], grid_R4, rg, opts)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threaded = sweep_R([4.0, 4.5], grid_R4, rg, opts)
+        assert [r.as_dict() for r in serial] == [r.as_dict() for r in threaded]
 
 
 class TestCenterOfMass:

@@ -314,6 +314,8 @@ class TestOptions:
             (SolveOptions(), {"tolerance_energy": 0.0}),
             (SolveOptions(), {"tolerance_residual": -1.0}),
             (SolveOptions(), {"tolerance_residual": float("inf")}),
+            (SolveOptions(), {"seed": {"kind": "radial_gaussian"}}),
+            (SolveOptions(), {"seed": None}),
         ],
     )
     def test_invalid_spec_cannot_be_built(self, spec, bad):

@@ -1,3 +1,4 @@
+import os
 import time
 from types import SimpleNamespace
 
@@ -146,6 +147,7 @@ class TestOperatorCache:
         assert ops_for(Grid3D(32, 16.0)) is ops
 
     def test_sweep_builds_the_operators_once(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two threads race on any host
         # a grid no other test uses, so its operators are built here
         grid = Grid3D(16, 17.0)
         built = []
@@ -153,11 +155,11 @@ class TestOperatorCache:
 
         def counting(self, g):
             built.append(g)
-            time.sleep(0.2)  # a slow build: workers that both missed the cache would both build
+            time.sleep(0.2)  # a slow build: threads that both missed the cache would both build
             init(self, g)
 
         monkeypatch.setattr(SpectralOps, "__init__", counting)
-        rows = sweep_R([3.0, 4.0], grid, RadialGrid(256, 16.0), SolveOptions(max_iters=3), workers=2)
+        rows = sweep_R([3.0, 4.0], grid, RadialGrid(256, 16.0), SolveOptions(max_iters=3))
         assert len(rows) == 2
         assert built == [grid]
 

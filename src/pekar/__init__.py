@@ -36,7 +36,6 @@ from .fields import (
     load_field,
     load_radial,
     normalize,
-    normalize_radial,
     save_field,
     save_radial,
 )

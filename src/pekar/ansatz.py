@@ -165,26 +165,28 @@ def optimal_displacement(rho_hat: np.ndarray, kgrid: KGrid, alpha: float) -> Pho
     return PhononDisplacement(kgrid, z, alpha)
 
 
+def _product_energy(psi: Field3D, rho_hat: np.ndarray, disp: PhononDisplacement,
+                    V: Field3D | None) -> float:
+    """E(ψ, z) at disp.alpha, given ρ̂ of ψ² on disp's k-grid."""
+    kg = disp.kgrid
+    T = kinetic_energy(psi)
+    if V is not None and V.grid != psi.grid:
+        raise ValueError("incompatible grids: potential vs wave function")
+    P = 0.0 if V is None else V.inner(psi.density())
+    w = kg.weights()
+    g = coupling_constant(disp.alpha) / kg.kmag()
+    phonon = float(np.sum(w * np.abs(disp.z) ** 2))
+    inter = float(np.sum(w * g * 2.0 * np.real(disp.z * np.conj(rho_hat))))
+    return T - P + phonon - inter
+
+
 def product_energy(psi: Field3D, disp: PhononDisplacement, V: Field3D | None = None) -> float:
     """⟨H⟩ in the product state at disp.alpha: kinetic - potential + phonon + interaction.
 
     Pass the potential already in its α-scaled form (α²V(αx) sampled on
     ψ's grid); see alpha_scaling_check for the bookkeeping.
     """
-    kg = disp.kgrid
-    T = kinetic_energy(psi)
-    P = 0.0
-    if V is not None:
-        if V.grid != psi.grid:
-            raise ValueError("incompatible grids: potential vs wave function")
-        P = float(np.sum(V.values * psi.values**2) * psi.grid.cell_volume)
-    rho_hat = density_fourier(psi.density(), kg)
-    w = kg.weights()
-    C = coupling_constant(disp.alpha)
-    g = C / kg.kmag()
-    phonon = float(np.sum(w * np.abs(disp.z) ** 2))
-    inter = float(np.sum(w * g * 2.0 * np.real(disp.z * np.conj(rho_hat))))
-    return T - P + phonon - inter
+    return _product_energy(psi, density_fourier(psi.density(), disp.kgrid), disp, V)
 
 
 def min_product_energy(
@@ -193,7 +195,7 @@ def min_product_energy(
     """(min over z of E(ψ,z), the optimal displacement)."""
     rho_hat = density_fourier(psi.density(), kgrid)
     disp = optimal_displacement(rho_hat, kgrid, alpha)
-    return product_energy(psi, disp, V), disp
+    return _product_energy(psi, rho_hat, disp, V), disp
 
 
 def alpha_scaling_check(

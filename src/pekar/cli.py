@@ -29,6 +29,7 @@ from .ansatz import alpha_scaling_check, min_product_energy
 from .config import ConfigError, ExperimentConfig, integer, number, parsed
 from .energy import pekar_energy
 from .experiments import (
+    _check_deltas,
     center_of_mass,
     fd_derivative,
     rotation_orbit_evidence,
@@ -195,8 +196,7 @@ def _check_perturb(cfg: ExperimentConfig) -> None:
     if not zspec.is_radial:
         raise ConfigError("experiment.params.z", "perturbation must be radial")
     deltas = _numbers("experiment.params.deltas", cfg.params["deltas"])
-    if min(deltas) <= 0 or len(set(deltas)) < len(deltas):  # Richardson divides by h1² - h2²
-        raise ConfigError("experiment.params.deltas", "deltas must be positive and distinct")
+    parsed("experiment.params.deltas", _check_deltas, deltas)
 
 
 def _check_product_energy(cfg: ExperimentConfig) -> None:
@@ -207,6 +207,8 @@ def _check_product_energy(cfg: ExperimentConfig) -> None:
 
 def _check_orbit(cfg: ExperimentConfig) -> None:
     integer("experiment.params.n_seeds", cfg.params["n_seeds"], 1)
+    if "seed" in dict(cfg.raw.get("solver", {})):
+        raise ConfigError("solver.seed", "orbit draws every seed from the top-level seed")
 
 
 class Experiment(NamedTuple):

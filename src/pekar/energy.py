@@ -92,7 +92,7 @@ class BoxFunctional:
         rho = values**2
         spec_rho = ops.fft_padded(rho)
         D = ops.coulomb_energy(rho, spec_pad=spec_rho)
-        P = 0.0 if self.V is None else float(np.sum(self.V * rho) * self.dv)
+        P = 0.0 if self.V is None else self.inner(self.V, rho)
         return EnergyBreakdown(T, D, P), (spec_psi, spec_rho)
 
     def hamiltonian(self, values: np.ndarray, spectra=(None, None)) -> np.ndarray:
@@ -134,8 +134,9 @@ class RadialFunctional:
     def evaluate(self, values: np.ndarray) -> tuple:
         # T = Σ c_j (Δu)²; c_seg already carries the dr weight
         T = float(np.sum(self.c_seg * np.diff(values) ** 2))
-        D = radial_coulomb(RadialField(self.grid, values**2))
-        P = float(np.sum(self.M * self.V * values**2))
+        rho = values**2
+        D = radial_coulomb(RadialField(self.grid, rho))
+        P = self.inner(self.V, rho)
         return EnergyBreakdown(T, D, P), None
 
     def residual(self, values: np.ndarray, bd: EnergyBreakdown, spectra=None) -> tuple:

@@ -182,7 +182,7 @@ def sweep_R(
             R=R,
             e_full=full.energy.total,
             e_rad=rad.energy.total,
-            trial_bound=trial_upper_bound(R, grid, rgrid),
+            trial_bound=free.energy.total - potential_energy(V, seed.density()),
             well_mass=mass_in_well(rho, R),
             anisotropy=float(np.linalg.norm(center_of_mass(rho))),
             full_converged=full.converged,
@@ -208,6 +208,14 @@ def perturbed_energy(
     return minimize(Vp, opts, seed_field=warm)
 
 
+def _check_deltas(deltas: Sequence[float]) -> None:
+    """ValueError unless non-empty, positive (forward is +δ) and distinct (Richardson)."""
+    if not deltas:
+        raise ValueError("deltas must be non-empty")
+    if min(deltas) <= 0 or len(set(deltas)) < len(deltas):
+        raise ValueError("deltas must be positive and distinct")
+
+
 def fd_derivative(
     V: Field3D,
     Zspec: PotentialSpec,
@@ -223,8 +231,7 @@ def fd_derivative(
     differentiable (the sup/inf pairings over the minimizer set differ),
     so no derivative is claimed there.
     """
-    if not deltas:
-        raise ValueError("deltas must be non-empty")
+    _check_deltas(deltas)
     if not Zspec.is_radial:
         raise ValueError("derivative checks require a radial perturbation Z")
     Z = Zspec.build(grid)

@@ -111,14 +111,6 @@ class Field3D:
         return Field3D(self.grid, self.values**2)
 
 
-def normalize(psi: Field3D) -> Field3D:
-    """Rescale onto the L² unit sphere. Direction is unchanged."""
-    nrm = psi.norm()
-    if nrm <= 0.0 or not np.isfinite(nrm):
-        raise DegenerateFieldError("degenerate normalization: field has zero L2 norm")
-    return Field3D(psi.grid, psi.values / nrm)
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform nodes r_j = j·dr on [0, r_max] with trapezoid weights.
@@ -188,11 +180,12 @@ class RadialField:
         return RadialField(self.grid, self.values**2)
 
 
-def normalize_radial(u: RadialField) -> RadialField:
-    nrm = u.norm()
+def normalize(psi: Field3D | RadialField) -> Field3D | RadialField:
+    """Rescale a Field3D or a RadialField onto the L² unit sphere. Direction is unchanged."""
+    nrm = psi.norm()
     if nrm <= 0.0 or not np.isfinite(nrm):
         raise DegenerateFieldError("degenerate normalization: field has zero L2 norm")
-    return RadialField(u.grid, u.values / nrm)
+    return type(psi)(psi.grid, psi.values / nrm)
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .fields import (
     RadialGrid,
     finite_real,
     normalize,
-    normalize_radial,
 )
 from .spectral import ops_for
 
@@ -190,19 +189,19 @@ def build_radial_seed(spec: SeedSpec, rgrid: RadialGrid) -> RadialField:
     if spec.kind == "translated_q":
         # radial problem cannot hold an off-center lump; use a shell at ζ instead
         zeta = (spec.R + 2.0) / 2.0
-        return normalize_radial(RadialField(rgrid, np.exp(-((r - zeta) ** 2))))
+        return normalize(RadialField(rgrid, np.exp(-((r - zeta) ** 2))))
     if spec.kind == "random_perturbed":
         rng = np.random.default_rng(spec.rng_seed)
         base = np.exp(-(r**2) / (4 * spec.sigma**2))
         modes = np.zeros(rgrid.m)
         for j in range(1, 6):
             modes += rng.standard_normal() / j * np.cos(j * np.pi * r / rgrid.r_max)
-        return normalize_radial(RadialField(rgrid, base * (1.0 + spec.amplitude * modes)))
-    return normalize_radial(RadialField(rgrid, np.exp(-(r**2) / (4 * spec.sigma**2))))
+        return normalize(RadialField(rgrid, base * (1.0 + spec.amplitude * modes)))
+    return normalize(RadialField(rgrid, np.exp(-(r**2) / (4 * spec.sigma**2))))
 
 
 def flat_seed(rgrid: RadialGrid) -> RadialField:
-    return normalize_radial(RadialField(rgrid, np.ones(rgrid.m)))
+    return normalize(RadialField(rgrid, np.ones(rgrid.m)))
 
 
 # --------------------------------------------------------------------------
@@ -322,9 +321,7 @@ def minimize_radial(
 ) -> MinimizerResult:
     """Same descent scheme in the radial discretization (Newton Coulomb)."""
     rgrid = Vr.grid
-    seed = (
-        normalize_radial(seed_field) if seed_field is not None else build_radial_seed(opts.seed, rgrid)
-    )
+    seed = normalize(seed_field) if seed_field is not None else build_radial_seed(opts.seed, rgrid)
     return _descend(RadialFunctional(rgrid, Vr), seed, opts, _banded_direction)
 
 

@@ -138,7 +138,7 @@ def potential_energy(V: Field3D, rho: Field3D) -> float:
     """∫ V ρ dx."""
     if V.grid != rho.grid:
         raise ValueError("potential and density live on different grids")
-    return float(np.sum(V.values * rho.values) * V.grid.cell_volume)
+    return V.inner(rho)
 
 
 def mass_in_well(rho: Field3D, R: float) -> float:

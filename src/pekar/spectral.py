@@ -2,7 +2,9 @@
 
 Kinetic energies are evaluated spectrally, Σ |k|² |ψ̂(k)|², which keeps
 them exactly consistent with the Coulomb pipeline (one transform
-library, one discrete gradient).
+library, one discrete gradient).  One builder gives |k|² of both rfft
+half-grids, and both energies are one reduction Σ w |ŝ(k)|² over a
+half-spectrum: w = |k|² on the box grid, w = ŵ below on the padded one.
 
 The Coulomb convolution ρ ↦ ∫ ρ(y)/|x-y| dy is computed on a zero-padded
 grid of twice the box side with the spherically truncated kernel
@@ -31,35 +33,29 @@ from .fields import BoundarySupportWarning, Field3D, Grid3D
 _WORKERS = -1  # scipy.fft: use all available cores
 
 
+def _half_grid(n: int, dx: float) -> tuple:
+    """(|k|², Hermitian double-count weights of the last axis) of an n³ rfft half-grid."""
+    k1 = 2 * np.pi * sfft.fftfreq(n, d=dx)
+    kz = 2 * np.pi * sfft.rfftfreq(n, d=dx)
+    KX, KY, KZ = np.meshgrid(k1, k1, kz, indexing="ij", sparse=True)
+    dup = np.full(n // 2 + 1, 2.0)
+    dup[0] = dup[-1] = 1.0
+    return KX**2 + KY**2 + KZ**2, dup
+
+
 class SpectralOps:
     """Per-grid FFT arrays, read-only, and the operations built on them."""
 
     def __init__(self, grid: Grid3D):
         self.grid = grid
         n, dx, L = grid.n, grid.dx, grid.L
-        k1 = 2 * np.pi * sfft.fftfreq(n, d=dx)
-        kz = 2 * np.pi * sfft.rfftfreq(n, d=dx)
-        KX, KY, KZ = np.meshgrid(k1, k1, kz, indexing="ij", sparse=True)
-        self.k2 = KX**2 + KY**2 + KZ**2
-        dup = np.full(n // 2 + 1, 2.0)
-        dup[0] = 1.0
-        dup[-1] = 1.0
-        self.dup = dup  # rfft Hermitian double-count weights (last axis)
-
-        npad = 2 * n
-        p1 = 2 * np.pi * sfft.fftfreq(npad, d=dx)
-        pz = 2 * np.pi * sfft.rfftfreq(npad, d=dx)
-        PX, PY, PZ = np.meshgrid(p1, p1, pz, indexing="ij", sparse=True)
-        pk2 = PX**2 + PY**2 + PZ**2
+        self.k2, self.dup = _half_grid(n, dx)
+        self.npad = npad = 2 * n
+        pk2, self.dup_p = _half_grid(npad, dx)
         with np.errstate(divide="ignore", invalid="ignore"):
             wk = 4 * np.pi * (1 - np.cos(np.sqrt(pk2) * L)) / pk2
         wk[0, 0, 0] = 2 * np.pi * L**2
         self.wk = wk
-        dup_p = np.full(npad // 2 + 1, 2.0)
-        dup_p[0] = 1.0
-        dup_p[-1] = 1.0
-        self.dup_p = dup_p
-        self.npad = npad
 
         # cells within 2dx of the box faces, for the support diagnostic
         ax = np.abs(grid.axis())
@@ -86,20 +82,22 @@ class SpectralOps:
 
     # -- energies and operators ---------------------------------------------
 
+    def _reduce(self, w: np.ndarray, spec: np.ndarray, dup: np.ndarray, m: int) -> float:
+        """Σ w·dup·|ŝ|² · dx³/m³ over an rfft half-spectrum of an m³ grid."""
+        s = np.sum(w * (spec.real**2 + spec.imag**2) * dup)
+        return float(self.grid.cell_volume / m**3 * s)
+
     def kinetic(self, values: np.ndarray, spec: np.ndarray | None = None) -> float:
         """∫ |∇ψ|² dx = Σ |k|² |ψ̂|², spectral."""
         if spec is None:
             spec = self.fft(values)
-        n = self.grid.n
-        s = np.sum(self.k2 * (spec.real**2 + spec.imag**2) * self.dup)
-        return float(self.grid.cell_volume / n**3 * s)
+        return self._reduce(self.k2, spec, self.dup, self.grid.n)
 
     def coulomb_energy(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> float:
         """D(ρ,ρ) = ∬ ρ(x) ρ(y)/|x-y| dx dy via the padded kernel."""
         if spec_pad is None:
             spec_pad = self.fft_padded(rho)
-        s = np.sum(self.wk * (spec_pad.real**2 + spec_pad.imag**2) * self.dup_p)
-        return float(self.grid.cell_volume / self.npad**3 * s)
+        return self._reduce(self.wk, spec_pad, self.dup_p, self.npad)
 
     def coulomb_potential(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> np.ndarray:
         """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box."""

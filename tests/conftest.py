@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pekar import Field3D, Grid3D, RadialField, RadialGrid, normalize, normalize_radial
+from pekar import Field3D, Grid3D, RadialField, RadialGrid, normalize
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def gaussian_psi(grid: Grid3D, sigma: float, center=(0.0, 0.0, 0.0)) -> Field3D:
 
 def gaussian_radial(rgrid: RadialGrid, sigma: float) -> RadialField:
     r = rgrid.nodes()
-    return normalize_radial(RadialField(rgrid, np.exp(-(r**2) / (4 * sigma**2))))
+    return normalize(RadialField(rgrid, np.exp(-(r**2) / (4 * sigma**2))))
 
 
 def ball_density(grid: Grid3D, a: float, sub: int = 4) -> Field3D:

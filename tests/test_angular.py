@@ -8,7 +8,7 @@ from pekar import (
     RadialField,
     RadialGrid,
     lift_radial,
-    normalize_radial,
+    normalize,
     shell_profile,
     shell_project,
     spherical_average,
@@ -71,7 +71,7 @@ class TestLiftRadial:
     def test_normalized_profile_lifts_near_unit_norm(self):
         g = Grid3D(64, 16.0)
         rg = RadialGrid(8192, np.sqrt(3) / 2 * g.L + 0.5)
-        u = normalize_radial(gaussian_radial(rg, 1.2))
+        u = normalize(gaussian_radial(rg, 1.2))
         assert abs(lift_radial(u, g).norm() - 1.0) < 1e-4
 
     def test_zero_extended_beyond_rmax(self, grid32):

@@ -167,6 +167,19 @@ class TestProductEnergy:
             other = PhononDisplacement(kg, z, 1.0)
             assert e_opt <= product_energy(psi, other) + 1e-12
 
+    def test_min_product_energy_transforms_the_density_once(self, grid32, monkeypatch):
+        import pekar.ansatz as ansatz
+
+        calls = []
+        transform = ansatz.density_fourier
+        monkeypatch.setattr(ansatz, "density_fourier",
+                            lambda rho, kg: calls.append(kg) or transform(rho, kg))
+        psi = gaussian_psi(grid32, 1.0)
+        kg = KGrid(8, 2.0)
+        e_opt, disp = min_product_energy(psi, kg)
+        assert calls == [kg]
+        assert e_opt == product_energy(psi, disp)
+
     def test_incompatible_grids_rejected(self, grid32):
         psi = gaussian_psi(grid32, 1.0)
         kg = KGrid(8, 2.0)

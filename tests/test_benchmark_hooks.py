@@ -3,6 +3,7 @@ from outside; these tests keep those names and the tracer's bookkeeping
 working as the package changes."""
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -48,3 +49,25 @@ def test_uninstall_restores_every_patched_attribute(bench):
         now = vars(owner)
         assert set(now) == set(old), owner
         assert all(now[k] is v for k, v in old.items()), owner
+
+
+def test_workload_names_resolve_on_the_package():
+    # the untraced benchmark looks these names up on the package it imports,
+    # directly (pk.name, pk.module.name) or through a local (exp = pk.experiments);
+    # a name deleted from pekar would fail only in a benchmark run
+    names = set()
+    for script in ("workloads.py", "run.py"):
+        text = (PERFBENCH / script).read_text()
+        names.update(re.findall(r"\bpk((?:\.[A-Za-z_]\w*)+)", text))
+        for alias, path in re.findall(r"\b(\w+) = pk((?:\.\w+)+)$", text, re.M):
+            names.update(path + rest for rest in re.findall(rf"\b{alias}((?:\.\w+)+)", text))
+    assert {".normalize", ".spectral.ops_for", ".experiments.perturbed_energy"} <= names
+    missing = []
+    for dotted in sorted(names):
+        obj = pekar
+        for part in dotted.split(".")[1:]:
+            if not hasattr(obj, part):
+                missing.append(dotted)
+                break
+            obj = getattr(obj, part)
+    assert missing == []

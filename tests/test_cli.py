@@ -68,7 +68,10 @@ def perturb_cfg(out):
 
 
 def orbit_cfg(out):
-    return {**solve_full_cfg(out), "experiment": {"name": "orbit", "params": {"n_seeds": 2}}}
+    # the orbit seeds every solve itself and takes no solver.seed
+    data = {**solve_full_cfg(out), "experiment": {"name": "orbit", "params": {"n_seeds": 2}}}
+    del data["solver"]["seed"]
+    return data
 
 
 def product_cfg(out):
@@ -345,15 +348,27 @@ class TestRunOrbit:
         # max_iters 0: each energy is that of the seed, the translate of Q
         energies = []
         for name, rgrid in (("default", None), ("coarse", {"m": 512, "r_max": 18.0})):
-            data = solve_full_cfg(str(tmp_path / name))
+            data = orbit_cfg(str(tmp_path / name))
             data["solver"]["max_iters"] = 0
-            data["experiment"] = {"name": "orbit", "params": {"n_seeds": 1}}
+            data["experiment"]["params"]["n_seeds"] = 1
             if rgrid is not None:
                 data["radial_grid"] = rgrid
             assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json")]) == 0
             lines = (tmp_path / name / "orbit.csv").read_text().strip().splitlines()
             energies.append(float(dict(zip(lines[0].split(","), lines[1].split(",")))["energy"]))
         assert energies[0] != pytest.approx(energies[1], rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("seed", [{"kind": "translated_q", "R": 4.0},
+                                      {"kind": "random_perturbed", "amplitude": 0.3}])
+    def test_solver_seed_rejected(self, tmp_path, capsys, seed):
+        # the orbit draws its seeds from the top-level seed; a solver seed was never read
+        data = orbit_cfg(str(tmp_path / "out"))
+        data["solver"]["seed"] = seed
+        cfg = write_cfg(tmp_path, data)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg]) == 2
+            assert "invalid: solver.seed: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunProductEnergy:

@@ -100,7 +100,8 @@ class TestValidation:
             ExperimentConfig.from_dict(make(**over))
 
     def test_declared_defaults_filled_in(self):
-        cfg = ExperimentConfig.from_dict(make(experiment={"name": "orbit"}))
+        # the orbit takes no solver.seed
+        cfg = ExperimentConfig.from_dict(make(experiment={"name": "orbit"}, solver={}))
         assert cfg.params == {"n_seeds": 2}
 
 
@@ -122,6 +123,8 @@ SLOTS += [("solve-full", "workers"), ("solve-full", "seed")]
 def placed(name: str, key: str, value) -> dict:
     params = dict(REQUIRED_PARAMS.get(name, {}))
     data = make(experiment={"name": name, "params": params})
+    if name == "orbit":  # the orbit takes no solver.seed
+        data["solver"] = {"max_iters": 50}
     if key in ("workers", "seed"):
         data[key] = value
     else:

@@ -1,10 +1,12 @@
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pekar import (
+    BoundarySupportWarning,
     Field3D,
     Grid3D,
     PotentialSpec,
@@ -169,6 +171,18 @@ class TestFdDerivative:
             fd_derivative(V, PotentialSpec(kind="constant", value=1.0), grid_R4, OPTS, deltas=[],
                           base=base_R4)
 
+    @pytest.mark.parametrize("deltas", [[0.01, 0.01], [0.02, -0.01], [0.0]])
+    def test_bad_deltas_rejected_before_any_solve(self, grid_R4, base_R4, monkeypatch, deltas):
+        # repeated δ's divided by zero in the Richardson step after four solves,
+        # and a negative δ swapped the forward and backward quotients
+        import pekar.experiments as exp
+
+        monkeypatch.setattr(exp, "minimize", lambda *a, **k: pytest.fail("a solve started"))
+        V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
+        with pytest.raises(ValueError, match="deltas must be positive and distinct"):
+            fd_derivative(V, PotentialSpec(kind="constant", value=1.0), grid_R4, OPTS,
+                          deltas=deltas, base=base_R4)
+
     def test_nonradial_perturbation_rejected(self, grid_R4, base_R4):
         V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
         with pytest.raises(ValueError, match="radial"):
@@ -234,6 +248,32 @@ class TestSweep:
         grid, rg = Grid3D(32, 20.0), RadialGrid(512, 18.0)
         (row,) = sweep_R([4.0], grid, rg, SolveOptions(max_iters=5))
         assert row.trial_bound == trial_upper_bound(4.0, grid, rg)
+
+    def test_each_R_builds_its_inputs_once(self, monkeypatch):
+        # the marginal sweep of the CLI tests: the trial bound reuses the V_R and
+        # the seed of the R's solve, so the box warning is printed once as well
+        import pekar.experiments as exp
+
+        builds, translates = [], []
+        build, translate = PotentialSpec.build, exp.translate_seed
+
+        def counting_build(spec, grid):
+            builds.append(spec.kind)
+            return build(spec, grid)
+
+        def counting_translate(*args, **kwargs):
+            translates.append(args[1])
+            return translate(*args, **kwargs)
+
+        monkeypatch.setattr(PotentialSpec, "build", counting_build)
+        monkeypatch.setattr(exp, "translate_seed", counting_translate)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            opts = SolveOptions(max_iters=300, tolerance_residual=5e-5)
+            sweep_R([4.0], Grid3D(32, 20.0), RadialGrid(512, 18.0), opts)
+        assert builds == ["annular"]
+        assert translates == [4.0]
+        assert len([w for w in caught if issubclass(w.category, BoundarySupportWarning)]) == 1
 
     def test_workers_give_identical_rows(self, grid_R4, monkeypatch):
         # the sweep runs one thread per core, so two cores solve the two R's at once

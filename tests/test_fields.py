@@ -10,7 +10,6 @@ from pekar import (
     load_field,
     load_radial,
     normalize,
-    normalize_radial,
     save_field,
     save_radial,
 )
@@ -76,13 +75,21 @@ class TestRadialGrid:
     def test_normalized_radial_norm_within_1e12(self):
         rg = RadialGrid(1024, 12.0)
         r = rg.nodes()
-        u = normalize_radial(RadialField(rg, np.exp(-r)))
+        u = normalize(RadialField(rg, np.exp(-r)))
         assert abs(u.norm() - 1.0) < 1e-12
+
+    def test_normalize_rescales_a_radial_field(self):
+        # the one normalize keeps the field's type; values are u/‖u‖, bit for bit
+        rg = RadialGrid(257, 10.0)
+        u = RadialField(rg, np.exp(-rg.nodes()) + 0.5)
+        out = normalize(u)
+        assert type(out) is RadialField and out.grid == rg
+        np.testing.assert_array_equal(out.values, u.values / u.norm())
 
     def test_zero_radial_field_raises(self):
         rg = RadialGrid(64, 5.0)
         with pytest.raises(DegenerateFieldError):
-            normalize_radial(RadialField(rg, np.zeros(rg.m)))
+            normalize(RadialField(rg, np.zeros(rg.m)))
 
 
 class TestSnapshots:

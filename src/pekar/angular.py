@@ -3,8 +3,8 @@
 Two distinct reductions are provided.
 
 ``spherical_average`` extracts a smooth radial profile g(r) by Lebedev
-quadrature over directions with trilinear sampling of the box field; it
-is the right tool for comparing minimizer profiles across runs.
+quadrature over directions with periodic trilinear sampling of the box
+field; it is the right tool for comparing minimizer profiles across runs.
 
 ``shell_project`` averages a field over the exact orbits of |x| on the
 cell-center lattice (every cell with identical |x| is one shell).  The
@@ -31,29 +31,6 @@ def _lebedev() -> tuple:
     return pts.T.copy(), wts / np.sum(wts)  # directions (N,3), weights summing to 1
 
 
-def trilinear_sample(f: Field3D, points: np.ndarray) -> np.ndarray:
-    """Periodic trilinear interpolation of f at points (N, 3)."""
-    g = f.grid
-    n, dx, L = g.n, g.dx, g.L
-    # fractional cell index of each coordinate (cell centers at (i+1/2)dx - L/2)
-    t = (points + L / 2) / dx - 0.5
-    i0 = np.floor(t).astype(np.int64)
-    frac = t - i0
-    vals = np.zeros(len(points))
-    v = f.values
-    for bx in (0, 1):
-        wx = frac[:, 0] if bx else 1 - frac[:, 0]
-        ix = np.mod(i0[:, 0] + bx, n)
-        for by in (0, 1):
-            wy = frac[:, 1] if by else 1 - frac[:, 1]
-            iy = np.mod(i0[:, 1] + by, n)
-            for bz in (0, 1):
-                wz = frac[:, 2] if bz else 1 - frac[:, 2]
-                iz = np.mod(i0[:, 2] + bz, n)
-                vals += wx * wy * wz * v[ix, iy, iz]
-    return vals
-
-
 def default_reduction_grid(grid: Grid3D) -> RadialGrid:
     """Radial grid out to the box corner with roughly two nodes per cell."""
     r_max = np.sqrt(3.0) / 2 * grid.L
@@ -67,13 +44,21 @@ def spherical_average(f: Field3D) -> RadialField:
     Radii beyond the inscribed ball (r > L/2) are flagged extrapolated:
     the directional samples then wrap through the periodic images.
     """
-    rgrid = default_reduction_grid(f.grid)
+    # imported here: scipy.ndimage adds 1-2 MB of RSS to every process that
+    # imports pekar, and only this diagnostic needs it
+    from scipy import ndimage
+
+    g = f.grid
+    rgrid = default_reduction_grid(g)
     dirs, wts = _lebedev()
     r = rgrid.nodes()
     pts = r[:, None, None] * dirs[None, :, :]  # (m, N, 3)
-    samples = trilinear_sample(f, pts.reshape(-1, 3)).reshape(len(r), -1)
-    avg = samples @ wts
-    extrapolated = r > f.grid.L / 2
+    # fractional cell index of each coordinate (cell centers at (i+1/2)dx - L/2);
+    # order 1 with grid-wrap is periodic trilinear interpolation
+    t = (pts.reshape(-1, 3) + g.L / 2) / g.dx - 0.5
+    samples = ndimage.map_coordinates(f.values, t.T, order=1, mode="grid-wrap")
+    avg = samples.reshape(len(r), -1) @ wts
+    extrapolated = r > g.L / 2
     return RadialField(rgrid, avg, extrapolated=extrapolated)
 
 

@@ -148,14 +148,18 @@ def coupling_constant(alpha: float) -> float:
 
 
 def density_fourier(rho: Field3D, kgrid: KGrid) -> np.ndarray:
-    """ρ̂(k) = dx³ Σ ρ e^{-ik·x} on the mode grid (separable contraction)."""
-    coords = rho.grid.axis()
-    kax = kgrid.axis()
-    E = np.exp(-1j * np.outer(kax, coords))
-    t = np.einsum("ax,xyz->ayz", E, rho.values)
-    t = np.einsum("by,ayz->abz", E, t)
-    t = np.einsum("cz,abz->abc", E, t)
-    return t * rho.grid.cell_volume
+    """ρ̂(k) = dx³ Σ ρ e^{-ik·x} on the mode grid (separable contraction).
+
+    The first axis is contracted by two real GEMMs against the real density,
+    the other two by complex matmuls along y, then z.
+    """
+    n, n_k = rho.grid.n, kgrid.n_k
+    E = np.exp(-1j * np.outer(kgrid.axis(), rho.grid.axis()))
+    v = rho.values.reshape(n, n * n)
+    t = np.empty((n_k, n * n), dtype=np.complex128)
+    t.real = E.real @ v
+    t.imag = E.imag @ v
+    return E @ t.reshape(n_k, n, n) @ E.T * rho.grid.cell_volume
 
 
 def optimal_displacement(rho_hat: np.ndarray, kgrid: KGrid, alpha: float) -> PhononDisplacement:

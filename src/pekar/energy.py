@@ -80,7 +80,7 @@ class BoxFunctional:
         self.V = None if V is None else V.values
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(a * b) * self.dv)
+        return float(np.vdot(a, b) * self.dv)
 
     # the gradient of residual is the L² one, so it pairs with a direction by inner
     pairing = inner

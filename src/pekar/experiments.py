@@ -126,16 +126,11 @@ class OrbitReport:
 
 
 def center_of_mass(rho: Field3D) -> np.ndarray:
+    """∫ x ρ dx, from the three axis marginals of ρ."""
     x = rho.grid.axis()
-    dv = rho.grid.cell_volume
     v = rho.values
-    return np.array(
-        [
-            np.sum(x[:, None, None] * v),
-            np.sum(x[None, :, None] * v),
-            np.sum(x[None, None, :] * v),
-        ]
-    ) * dv
+    marginals = (v.sum(axis=(1, 2)), v.sum(axis=(0, 2)), v.sum(axis=(0, 1)))
+    return np.array([x @ m for m in marginals]) * rho.grid.cell_volume
 
 
 def trial_upper_bound(R: float, grid: Grid3D, rgrid: Optional[RadialGrid] = None) -> float:
@@ -252,8 +247,8 @@ def fd_derivative(
                 for xj, u in solved.items()
             )
             guess = normalize(Field3D(grid, guess))
-            Vd = Field3D(grid, V.values + delta * Z.values)
-            if pekar_energy(guess, Vd).total < e0 - delta * pairing:
+            e_guess = pekar_energy(guess, V).total - delta * potential_energy(Z, guess.density())
+            if e_guess < e0 - delta * pairing:
                 warm = guess
         res = perturbed_energy(V, Z, delta, opts, warm=warm)
         solved[delta] = res.psi.values

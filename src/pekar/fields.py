@@ -98,10 +98,10 @@ class Field3D:
 
     def norm(self) -> float:
         """Discrete L² norm, sqrt(Σ v² dx³)."""
-        return float(np.sqrt(np.sum(self.values**2) * self.grid.cell_volume))
+        return float(np.sqrt(np.vdot(self.values, self.values) * self.grid.cell_volume))
 
     def inner(self, other: "Field3D") -> float:
-        return float(np.sum(self.values * other.values) * self.grid.cell_volume)
+        return float(np.vdot(self.values, other.values) * self.grid.cell_volume)
 
     def mass(self) -> float:
         """Σ v dx³ (total integral; unit mass for normalized densities)."""

@@ -31,6 +31,7 @@ from scipy import fft as sfft
 from .fields import BoundarySupportWarning, Field3D, Grid3D
 
 _WORKERS = -1  # scipy.fft: use all available cores
+_BLOCK = 1 << 15  # spectrum entries per block of a reduction, cache-sized
 
 
 def _half_grid(n: int, dx: float) -> tuple:
@@ -83,8 +84,16 @@ class SpectralOps:
     # -- energies and operators ---------------------------------------------
 
     def _reduce(self, w: np.ndarray, spec: np.ndarray, dup: np.ndarray, m: int) -> float:
-        """Σ w·dup·|ŝ|² · dx³/m³ over an rfft half-spectrum of an m³ grid."""
-        s = np.sum(w * (spec.real**2 + spec.imag**2) * dup)
+        """Σ w·dup·|ŝ|² · dx³/m³ over an rfft half-spectrum of an m³ grid,
+        a block of leading-axis planes at a time, so no temporary is full-size."""
+        step = max(1, _BLOCK // (spec.shape[1] * spec.shape[2]))
+        s = 0.0
+        for i in range(0, len(spec), step):
+            blk = spec[i:i + step]
+            p = blk.real**2
+            p += blk.imag**2
+            p *= dup
+            s += np.vdot(w[i:i + step], p)
         return float(self.grid.cell_volume / m**3 * s)
 
     def kinetic(self, values: np.ndarray, spec: np.ndarray | None = None) -> float:

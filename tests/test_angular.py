@@ -54,6 +54,43 @@ class TestSphericalAverage:
         assert np.array_equal(prof.extrapolated, r > grid32.L / 2)
 
 
+    def test_sampler_is_periodic_trilinear(self):
+        # the Lebedev mean of an explicit 8-corner periodic trilinear sampler;
+        # radii beyond L/2 (to the box corner) sample through the box faces
+        from pekar.angular import _lebedev
+
+        g = Grid3D(16, 10.0)
+        f = Field3D(g, np.random.default_rng(2).standard_normal(g.shape))
+        prof = spherical_average(f)
+        dirs, wts = _lebedev()
+        pts = prof.grid.nodes()[:, None, None] * dirs[None, :, :]
+        assert np.any(np.abs(pts) > g.L / 2)
+        samples = _trilinear_reference(f, pts.reshape(-1, 3))
+        ref = samples.reshape(prof.grid.m, -1) @ wts
+        np.testing.assert_allclose(prof.values, ref, rtol=0.0, atol=1e-13)
+
+
+def _trilinear_reference(f: Field3D, points: np.ndarray) -> np.ndarray:
+    """Periodic trilinear interpolation of f at points (N, 3), corner by corner."""
+    g = f.grid
+    n, dx, L = g.n, g.dx, g.L
+    t = (points + L / 2) / dx - 0.5  # cell centers at (i+1/2)dx - L/2
+    i0 = np.floor(t).astype(np.int64)
+    frac = t - i0
+    vals = np.zeros(len(points))
+    for bx in (0, 1):
+        wx = frac[:, 0] if bx else 1 - frac[:, 0]
+        ix = np.mod(i0[:, 0] + bx, n)
+        for by in (0, 1):
+            wy = frac[:, 1] if by else 1 - frac[:, 1]
+            iy = np.mod(i0[:, 1] + by, n)
+            for bz in (0, 1):
+                wz = frac[:, 2] if bz else 1 - frac[:, 2]
+                iz = np.mod(i0[:, 2] + bz, n)
+                vals += wx * wy * wz * f.values[ix, iy, iz]
+    return vals
+
+
 class TestLiftRadial:
     def test_constant_profile_lifts_to_constant(self, grid32):
         rg = RadialGrid(512, np.sqrt(3) / 2 * grid32.L + 0.5)

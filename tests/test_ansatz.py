@@ -107,6 +107,18 @@ class TestDensityFourier:
         np.testing.assert_allclose(flipped, np.conj(got), atol=1e-12)
 
 
+    def test_matches_the_explicit_sum(self):
+        # ρ̂(k) = Σ_x ρ(x) e^{-ik·x} dx³, summed over every cell for every mode
+        g = Grid3D(8, 6.0)
+        rho = Field3D(g, np.random.default_rng(5).random(g.shape))
+        kg = KGrid(6, 2.0)
+        X = np.stack(np.meshgrid(g.axis(), g.axis(), g.axis(), indexing="ij"), -1).reshape(-1, 3)
+        K = np.stack(np.meshgrid(kg.axis(), kg.axis(), kg.axis(), indexing="ij"), -1).reshape(-1, 3)
+        ref = (np.exp(-1j * K @ X.T) @ rho.values.ravel() * g.cell_volume).reshape(kg.shape)
+        got = density_fourier(rho, kg)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestOptimalDisplacement:
     def test_literal_formula_on_flat_transform(self):
         kg = KGrid(8, 2.0)

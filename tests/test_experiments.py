@@ -162,6 +162,28 @@ class TestFdDerivative:
         iters = [c[2] for c in calls]
         assert sum(iters[2:]) < sum(iters[:2])
 
+    def test_perturbed_potential_built_once_per_solve(self, grid_R4, base_R4, monkeypatch):
+        # the ladder tests its interpolated seed as E_V(g) - δ∫Z g², so only the
+        # solve itself builds V + δZ
+        import pekar.experiments as exp
+
+        V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
+        Zspec = PotentialSpec(kind="radial_bump", center=3.0, width=1.5)
+        Z = Zspec.build(grid_R4)
+        deltas = (0.04, 0.02, 0.01)
+        perturbed = [V.values + s * d * Z.values for d in deltas for s in (1, -1)]
+        builds = []
+
+        class Counting(Field3D):
+            def __post_init__(self):
+                super().__post_init__()
+                if any(np.array_equal(self.values, p) for p in perturbed):
+                    builds.append(self)
+
+        monkeypatch.setattr(exp, "Field3D", Counting)
+        fd_derivative(V, Zspec, grid_R4, OPTS, deltas=deltas, base=base_R4)
+        assert len(builds) == 6
+
     def test_empty_deltas_rejected_before_the_base_solve(self, grid_R4, base_R4, monkeypatch):
         import pekar.experiments as exp
 
@@ -294,3 +316,10 @@ class TestCenterOfMass:
     def test_offset_density_detected(self, grid32):
         rho = gaussian_psi(grid32, 0.8, center=(2.0, -1.0, 0.5)).density()
         np.testing.assert_allclose(center_of_mass(rho), [2.0, -1.0, 0.5], atol=1e-3)
+
+    def test_marginals_match_the_full_sums(self, grid32):
+        rho = gaussian_psi(grid32, 0.8, center=(2.0, -1.0, 0.5)).density()
+        x, v = grid32.axis(), rho.values
+        full = np.array([np.sum(x[:, None, None] * v), np.sum(x[None, :, None] * v),
+                         np.sum(x[None, None, :] * v)]) * grid32.cell_volume
+        np.testing.assert_allclose(center_of_mass(rho), full, rtol=0.0, atol=1e-12)

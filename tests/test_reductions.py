@@ -1,0 +1,109 @@
+"""The grid pairings and spectral reductions: reference values and memory.
+
+Each reduction is checked against the plain ``np.sum`` form it replaced,
+and the hot ones must not build a temporary as large as one n³ array:
+``tracemalloc`` sees numpy's data buffers, so a product ``a * b`` of two
+grid arrays shows as a traced peak of n³ float64.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pekar import Field3D, Grid3D, rotational_density_check
+from pekar.energy import BoxFunctional
+from pekar.spectral import ops_for
+
+from conftest import smooth_random_psi
+
+REL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    return Grid3D(64, 24.0)
+
+
+@pytest.fixture(scope="module")
+def pair(grid64):
+    rng = np.random.default_rng(11)
+    return smooth_random_psi(grid64, rng), Field3D(grid64, rng.standard_normal(grid64.shape))
+
+
+def _reference_reduce(w, spec, dup, dv, m):
+    return float(dv / m**3 * np.sum(w * (spec.real**2 + spec.imag**2) * dup))
+
+
+def _traced_peak(fn, *args):
+    """(result, bytes the call allocated at its peak beyond what was live before it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
+class TestAgainstTheSumForms:
+    def test_field_inner_and_norm(self, pair):
+        psi, f = pair
+        dv = psi.grid.cell_volume
+        assert psi.inner(f) == pytest.approx(np.sum(psi.values * f.values) * dv, rel=REL)
+        assert f.norm() == pytest.approx(np.sqrt(np.sum(f.values**2) * dv), rel=REL)
+
+    def test_box_functional_inner(self, pair):
+        psi, f = pair
+        F = BoxFunctional(psi.grid)
+        assert F.inner(psi.values, f.values) == pytest.approx(
+            np.sum(psi.values * f.values) * F.dv, rel=REL
+        )
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_kinetic_and_coulomb_energy(self, n):
+        g = Grid3D(n, 20.0)
+        ops = ops_for(g)
+        psi = smooth_random_psi(g, np.random.default_rng(n)).values
+        spec = ops.fft(psi)
+        ref = _reference_reduce(ops.k2, spec, ops.dup, g.cell_volume, n)
+        assert ops.kinetic(psi, spec=spec) == pytest.approx(ref, rel=REL)
+        rho = psi**2
+        spec_pad = ops.fft_padded(rho)
+        ref = _reference_reduce(ops.wk, spec_pad, ops.dup_p, g.cell_volume, ops.npad)
+        assert ops.coulomb_energy(rho, spec_pad=spec_pad) == pytest.approx(ref, rel=REL)
+
+
+class TestNoFullSizeTemporary:
+    """Traced peak of each call below one n³ float64 array (the calls return floats)."""
+
+    def test_field_inner_and_norm(self, pair):
+        psi, f = pair
+        full = psi.values.nbytes
+        assert _traced_peak(psi.inner, f)[1] < full
+        assert _traced_peak(f.norm)[1] < full
+
+    def test_coulomb_energy_of_a_padded_spectrum(self, pair):
+        psi, _ = pair
+        ops = ops_for(psi.grid)
+        rho = psi.values**2
+        spec_pad = ops.fft_padded(rho)
+        assert _traced_peak(ops.coulomb_energy, rho, spec_pad)[1] < rho.nbytes
+
+    def test_rotational_density_check_pairings(self, pair, monkeypatch):
+        import pekar.experiments as exp
+
+        psi, f = pair
+        peaks = []
+        pairing = exp.potential_energy
+
+        def traced(V, rho):
+            value, peak = _traced_peak(pairing, V, rho)
+            peaks.append(peak)
+            return value
+
+        monkeypatch.setattr(exp, "potential_energy", traced)
+        rotational_density_check(psi, f)
+        assert len(peaks) == 3
+        assert max(peaks) < psi.values.nbytes

@@ -295,6 +295,8 @@ def rotational_density_check(u: Field3D, W: Field3D) -> tuple:
     With the exact shell projection both vanish to rounding; anything
     larger flags a broken average.
     """
+    if u.grid != W.grid:
+        raise ValueError("wave function and potential live on different grids")
     rho = u.density()
     rho_avg = rotational_average(rho)
     W_avg = rotational_average(W)

@@ -13,6 +13,7 @@ from pekar import (
     shell_project,
     spherical_average,
 )
+from pekar.angular import _shell_index
 
 from conftest import gaussian_psi, gaussian_radial
 
@@ -170,3 +171,40 @@ class TestShellProjection:
         assert counts.sum() == grid32.n**3
         # total integral preserved by the projection
         assert shell_project(f).mass() == pytest.approx(f.mass(), abs=1e-12)
+
+    def test_strided_view_projects_as_its_copy(self, grid32):
+        view = np.random.default_rng(6).standard_normal(grid32.shape).transpose(1, 0, 2)[::-1]
+        f = Field3D(grid32, view)
+        assert not f.values.flags.c_contiguous
+        copy = Field3D(grid32, np.ascontiguousarray(view))
+        np.testing.assert_array_equal(shell_project(f).values, shell_project(copy).values)
+        np.testing.assert_array_equal(shell_profile(f)[1], shell_profile(copy)[1])
+
+
+def _full_lattice_index(grid: Grid3D) -> tuple:
+    """Inverse indices (n³), counts and radii of the shells, by a sort of all n³ labels."""
+    c = (2 * np.arange(grid.n) + 1 - grid.n).astype(np.int64)
+    s2 = c * c
+    lab = s2[:, None, None] + s2[None, :, None] + s2[None, None, :]
+    uniq, inverse, counts = np.unique(lab.ravel(), return_inverse=True, return_counts=True)
+    return inverse, counts, np.sqrt(uniq.astype(np.float64)) * grid.dx / 2
+
+
+class TestHalfSlabIndex:
+    @PROPERTY
+    @given(grid=GRIDS, seed=SEEDS)
+    def test_fold_matches_the_full_lattice_index(self, grid, seed):
+        inverse, counts, radii = _full_lattice_index(grid)
+        slab_inverse, slab_counts, slab_radii = _shell_index(grid)
+        assert slab_inverse.shape == (grid.n // 2, grid.n // 2, grid.n)
+        np.testing.assert_array_equal(slab_counts, counts)
+        np.testing.assert_array_equal(slab_radii, radii)
+        f = Field3D(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+        means = np.bincount(inverse, weights=f.values.ravel(), minlength=len(counts)) / counts
+        atol = 1e-13 * np.max(np.abs(f.values))
+        got_radii, got_means, got_counts = shell_profile(f)
+        np.testing.assert_array_equal(got_radii, radii)
+        np.testing.assert_array_equal(got_counts, counts)
+        np.testing.assert_allclose(got_means, means, rtol=0, atol=atol)
+        ref = means[inverse].reshape(grid.shape)
+        np.testing.assert_allclose(shell_project(f).values, ref, rtol=0, atol=atol)

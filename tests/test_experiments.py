@@ -232,6 +232,21 @@ class TestRotationalDensityCheck:
         d1, _ = rotational_density_check(u, W)
         assert d1 <= 1e-6
 
+    def test_grid_mismatch_rejected_before_projecting(self, grid32, monkeypatch):
+        import pekar.potentials as pot
+
+        calls = []
+        project = pot.shell_project
+        monkeypatch.setattr(pot, "shell_project", lambda f: calls.append(f) or project(f))
+        u = gaussian_psi(grid32, 1.0)
+        rotational_density_check(u, Field3D(grid32, np.exp(-grid32.radius())))
+        assert len(calls) == 2  # the counter sees the two averages of a valid call
+        other = Grid3D(grid32.n, grid32.L + 1.0)
+        calls.clear()
+        with pytest.raises(ValueError, match="different grids"):
+            rotational_density_check(u, Field3D(other, np.exp(-other.radius())))
+        assert calls == []
+
 
 class TestOrbitEvidence:
     def test_single_seed_trivially_consistent(self, grid_R4):

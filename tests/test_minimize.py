@@ -24,6 +24,7 @@ from pekar import (
     solve_free,
     translate_seed,
 )
+from pekar.angular import _shell_index
 from pekar.experiments import center_of_mass
 from pekar.potentials import PotentialSpec
 
@@ -74,8 +75,9 @@ class TestRadialFreeProblem:
 
     def test_shared_tables_refuse_writes(self, free_radial, grid32):
         # cached values every caller shares: an in-place write would reach them all
-        _, _, counts = shell_profile(Field3D(grid32, np.ones(grid32.shape)))
-        for shared in (counts, free_radial.psi.values, free_radial.history):
+        radii, _, counts = shell_profile(Field3D(grid32, np.ones(grid32.shape)))
+        inverse = _shell_index(grid32)[0]
+        for shared in (inverse, counts, radii, free_radial.psi.values, free_radial.history):
             with pytest.raises(ValueError, match="read-only"):
                 shared *= 2
 

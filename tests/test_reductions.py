@@ -3,7 +3,8 @@
 Each reduction is checked against the plain ``np.sum`` form it replaced,
 and the hot ones must not build a temporary as large as one n³ array:
 ``tracemalloc`` sees numpy's data buffers, so a product ``a * b`` of two
-grid arrays shows as a traced peak of n³ float64.
+grid arrays shows as a traced peak of n³ float64.  The lattice-shell
+index is held to the same bound while it is built.
 """
 
 import tracemalloc
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from pekar import Field3D, Grid3D, rotational_density_check
+from pekar.angular import _shell_index
 from pekar.energy import BoxFunctional
 from pekar.spectral import ops_for
 
@@ -107,3 +109,11 @@ class TestNoFullSizeTemporary:
         rotational_density_check(psi, f)
         assert len(peaks) == 3
         assert max(peaks) < psi.values.nbytes
+
+
+def test_shell_index_built_on_the_half_slab():
+    g = Grid3D(64, 21.0)  # a grid of its own, so the build is not a cache hit
+    (inverse, counts, _), peak = _traced_peak(_shell_index, g)
+    assert inverse.size == g.n**3 // 4
+    assert counts.sum() == g.n**3
+    assert peak < 8 * g.n**3  # one n³ float64 array

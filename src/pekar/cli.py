@@ -74,7 +74,7 @@ def _write(out_dir: Path, files: dict) -> None:
 def _solve_summary(res) -> dict:
     el = res.residual
     return {"residual_norm": el.residual_norm, "mu": el.mu,
-            "iterations": res.iterations, "converged": res.converged}
+            "iterations": res.iterations, "converged": res.converged, "stop": res.stop}
 
 
 def _run_solve_free(cfg: ExperimentConfig) -> tuple:

@@ -14,6 +14,14 @@ construction.  Plain L² descent needs step sizes ~1/k_max² and ~1e4-1e5
 iterations at working resolutions; the preconditioner removes that
 stiffness, and the CG directions take about 2.5x fewer steps than
 preconditioned steepest descent.
+
+In the box each step costs a padded Coulomb spectrum per trial.  The loop
+keeps one spare set of spectra (a rejected trial's, or the iterate's it
+has just left) and evaluates every trial into it, and the residual computes
+Φ_ρ in the iterate's own ρ̂, which is dead after it; so a solve allocates at
+most two padded spectra, the seed's and the first trial's.  A solve reports
+why it stopped: ``converged``, ``max_iters`` or ``no_descent`` (every one of
+``MAX_BACKTRACKS`` trials rejected).
 """
 
 from __future__ import annotations
@@ -115,6 +123,7 @@ class MinimizerResult:
     residual: ELResidual
     iterations: int  # accepted steps, len(history) - 1
     converged: bool
+    stop: str  # "converged", "max_iters", or "no_descent" (MAX_BACKTRACKS trials rejected)
     history: np.ndarray
     norm_history: np.ndarray = dc_field(default_factory=lambda: np.array([]))
 
@@ -246,6 +255,10 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
     check_coercivity(bd, "seed evaluation")
     history = [bd.total]
     norms = [float(np.sqrt(F.inner(psi, psi)))]
+    # the spectra of a rejected trial, or of the iterate a step left behind,
+    # are dead: the next evaluation writes into them
+    spare = None
+    stop = "max_iters"
     step = STEP_INIT
     direction = None
     z_prev = p = None  # the last preconditioned gradient and search direction
@@ -257,8 +270,11 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
 
     for it in range(opts.max_iters + 1):
-        el, g = F.residual(psi, bd, spectra)
-        if done() or it == opts.max_iters:
+        el, g = F.residual(psi, bd, spectra, consume=True)  # ρ̂ is dead after Φ_ρ
+        if done():
+            stop = "converged"
+            break
+        if it == opts.max_iters:
             break
         if direction is None:  # the shift is fixed by the seed's μ
             direction = preconditioner(F, max(0.25, 2 * abs(el.mu)))
@@ -277,17 +293,20 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         for _ in range(MAX_BACKTRACKS):
             cand = psi - s * p
             cand /= np.sqrt(F.inner(cand, cand))
-            bd_t, spectra_t = F.evaluate(cand)
+            bd_t, spectra_t = F.evaluate(cand, reuse=spare)
             rise = bd_t.total - bd.total
             if rise <= -ARMIJO_C * s * slope:
                 break
+            spare = spectra_t
             # minimizer of the parabola through E(0), E'(0) = -slope and E(s)
             s_min = slope * s * s / (2 * (rise + slope * s))
             s = min(SAFEGUARD[1] * s, max(SAFEGUARD[0] * s, s_min))
         else:
+            stop = "no_descent"
             break
         check_coercivity(bd_t, f"iteration {it}")
         last_dE = -rise
+        spare = spectra
         psi, bd, spectra = cand, bd_t, spectra_t
         history.append(bd.total)
         norms.append(float(np.sqrt(F.inner(psi, psi))))
@@ -298,7 +317,8 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         energy=bd,
         residual=el,
         iterations=len(history) - 1,
-        converged=done(),
+        converged=stop == "converged",
+        stop=stop,
         history=np.asarray(history),
         norm_history=np.asarray(norms),
     )

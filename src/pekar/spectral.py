@@ -18,6 +18,13 @@ convolution up to the (spectral) accuracy of the density itself.  An
 unpadded single-grid truncation at L/2 was tried first and rejected: its
 support requirement (|x| < L/4) is badly violated by the wide minimizers
 of this problem, with O(1e-2) relative energy errors at working box sizes.
+
+The padded transforms never build the (2n)³ array.  The forward writes
+into one npad×npad×(n+1) half-spectrum, which a caller may hand back for
+reuse: the last-axis pass runs on the n² nonzero lines, axis 0 on the n
+nonzero columns, axis 1 on everything, the last two in place; in that order it
+is bit-identical to rfftn of the padded array.  The inverse crops after
+each axis pass, and it may multiply ŵ into a spectrum the caller gives up.
 """
 
 from __future__ import annotations
@@ -73,13 +80,27 @@ class SpectralOps:
     def ifft(self, spec: np.ndarray) -> np.ndarray:
         return sfft.irfftn(spec, s=self.grid.shape, workers=_WORKERS)
 
-    def fft_padded(self, values: np.ndarray) -> np.ndarray:
-        """rfftn of ``values`` zero-padded to npad³, without building the
-        real padded array: the last-axis pass runs on the n² nonzero lines
-        only, and fft2 pads and transforms the first two axes."""
-        npad = self.npad
-        half = sfft.rfft(values, n=npad, axis=2, workers=_WORKERS)
-        return sfft.fft2(half, s=(npad, npad), axes=(0, 1), overwrite_x=True, workers=_WORKERS)
+    def fft_padded(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rfftn of ``values`` zero-padded to npad³, written into ``out`` (an
+        npad×npad×(n+1) complex array, new when None) and returned.
+
+        The real padded array is never built, and each pass skips the lines
+        still known to be zero: the last axis runs on the n² nonzero lines,
+        axis 0 on the n nonzero columns out[:, :n], and axis 1 on the whole
+        array.  The two complex passes run in place (``overwrite_x`` on a
+        complex view), and in this order the result equals rfftn of the
+        padded array bit for bit; axis 1 on the first n planes before axis 0
+        does not.
+        """
+        n, npad = self.grid.n, self.npad
+        if out is None:
+            out = np.empty((npad, npad, n + 1), dtype=np.complex128)
+        out[:n, :n] = sfft.rfft(values, n=npad, axis=2, workers=_WORKERS)
+        out[n:, :n] = 0
+        sfft.fft(out[:, :n], axis=0, overwrite_x=True, workers=_WORKERS)
+        out[:, n:] = 0
+        sfft.fft(out, axis=1, overwrite_x=True, workers=_WORKERS)
+        return out
 
     # -- energies and operators ---------------------------------------------
 
@@ -108,16 +129,24 @@ class SpectralOps:
             spec_pad = self.fft_padded(rho)
         return self._reduce(self.wk, spec_pad, self.dup_p, self.npad)
 
-    def coulomb_potential(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> np.ndarray:
-        """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box."""
+    def coulomb_potential(
+        self, rho: np.ndarray, spec_pad: np.ndarray | None = None, consume: bool = False
+    ) -> np.ndarray:
+        """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box.
+
+        With ``consume`` the caller gives up ``spec_pad``: ŵ·ŝ and the first
+        inverse pass are computed in it, so no padded-size array is allocated.
+        A spectrum built here is consumed the same way.
+        """
         if spec_pad is None:
-            spec_pad = self.fft_padded(rho)
+            spec_pad, consume = self.fft_padded(rho), True
         # pruned inverse: crop after each axis pass, so the later passes
         # transform only the lines that reach the original box; the passes
         # run unscaled and the 1/npad³ factor is applied once at the end,
         # as irfftn does, which keeps the result bit-identical to it
         n, npad = self.grid.n, self.npad
-        t = sfft.ifft(self.wk * spec_pad, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
+        t = np.multiply(self.wk, spec_pad, out=spec_pad if consume else None)
+        t = sfft.ifft(t, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
         t = sfft.ifft(t[:n], axis=1, norm="forward", overwrite_x=True, workers=_WORKERS)
         phi = sfft.irfft(t[:, :n], n=npad, axis=2, norm="forward", workers=_WORKERS)
         return phi[:, :, :n] * (1.0 / npad**3)

@@ -208,7 +208,7 @@ class TestRunSolveFree:
         cfg = write_cfg(tmp_path, solve_free_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
         free = json.loads((out / "free.json").read_text())
-        assert free["converged"]
+        assert free["converged"] and free["stop"] == "converged"
         assert free["e0"] < 0.0
         assert free["virial_defect"] < 1e-3
         assert free["strauss_margin"] >= 0.0
@@ -234,7 +234,8 @@ class TestRunSolveRadial:
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, solve_radial_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
-        assert json.loads((out / "radial.json").read_text())["converged"]
+        rad = json.loads((out / "radial.json").read_text())
+        assert rad["converged"] and rad["stop"] == "converged"
         assert (out / "u_rad.csv").exists()
         assert_manifest_lists_the_files(out)
 
@@ -245,7 +246,7 @@ class TestRunSolveFull:
         cfg = write_cfg(tmp_path, solve_full_cfg(str(out)))
         assert main(["run", "--config", cfg]) == 0
         full = json.loads((out / "full.json").read_text())
-        assert full["converged"]
+        assert full["converged"] and full["stop"] == "converged"
         assert full["e_full"] < -0.5
         assert full["well_mass"] > 0.3
         psi = load_field(out / "psi.field")

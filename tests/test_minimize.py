@@ -1,4 +1,5 @@
 from dataclasses import replace
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pekar import (
 from pekar.angular import _shell_index
 from pekar.experiments import center_of_mass
 from pekar.potentials import PotentialSpec
+from pekar.spectral import SpectralOps
 
 FAST = SolveOptions(max_iters=500, tolerance_residual=1e-5, tolerance_energy=1e-10)
 
@@ -216,6 +218,41 @@ def test_reported_residual_is_that_of_the_returned_iterate(max_iters):
     rad = minimize_radial(Vr, replace(FAST, max_iters=max_iters), seed_field=flat_seed(rg))
     assert rad.residual == radial_el_residual(rad.psi, Vr)
     assert box.converged == rad.converged == (max_iters == 500)
+
+
+def test_box_solve_allocates_two_padded_spectra(monkeypatch):
+    # the loop hands each evaluation the spectra of a rejected trial or of
+    # the iterate it left, so only the seed and the first trial allocate
+    fresh = []
+    fft_padded = SpectralOps.fft_padded
+
+    def counting(self, values, **kw):
+        fresh.append(kw.get("out") is None)
+        return fft_padded(self, values, **kw)
+
+    monkeypatch.setattr(SpectralOps, "fft_padded", counting)
+    res = _box_free()
+    assert res.iterations >= 8
+    assert len(fresh) > res.iterations
+    assert sum(fresh) <= 2
+
+
+class TestStopReason:
+    # "converged" is asserted on the solve-free/radial/full artifacts (test_cli)
+    def test_max_iters(self):
+        g = Grid3D(32, 16.0)
+        V = Field3D(g, np.zeros(g.shape))
+        res = minimize(V, SolveOptions(max_iters=2, seed=SeedSpec(sigma=2.0)))
+        assert res.stop == "max_iters" and not res.converged
+        assert res.iterations == 2
+
+    def test_no_descent(self, monkeypatch):
+        # the package's name ``minimize`` is the function, not the module
+        monkeypatch.setattr(import_module("pekar.minimize"), "MAX_BACKTRACKS", 0)
+        rg = RadialGrid(1024, 20.0)
+        res = minimize_radial(RadialField(rg, np.zeros(rg.m)), FAST)
+        assert res.stop == "no_descent" and not res.converged
+        assert res.iterations == 0
 
 
 def test_off_axis_seed_converges():

@@ -67,10 +67,9 @@ class BoxFunctional:
     """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb.
 
     ``evaluate`` returns the breakdown and the spectra of ψ and ρ (one padded
-    forward FFT, written into the padded array of ``reuse`` when given);
-    ``residual`` reuses those spectra and returns ‖(H_ψ - μ)ψ‖ with μ, and
-    the gradient the preconditioner acts on.  With ``consume`` it overwrites
-    ρ̂ on the way, for a caller that reads it no more.
+    forward FFT, written into ``out`` when given); ``residual`` reuses those
+    spectra, overwriting ρ̂, and returns ‖(H_ψ - μ)ψ‖ with μ, and the
+    gradient the preconditioner acts on.
     """
 
     def __init__(self, grid: Grid3D, V: Field3D | None = None):
@@ -87,29 +86,30 @@ class BoxFunctional:
     # the gradient of residual is the L² one, so it pairs with a direction by inner
     pairing = inner
 
-    def evaluate(self, values: np.ndarray, reuse: tuple | None = None) -> tuple:
+    def evaluate(self, values: np.ndarray, out: np.ndarray | None = None) -> tuple:
         ops = self.ops
         spec_psi = ops.fft(values)
         T = ops.kinetic(values, spec=spec_psi)
         rho = values**2
-        spec_rho = ops.fft_padded(rho, out=None if reuse is None else reuse[1])
+        spec_rho = ops.fft_padded(rho, out=out)
         D = ops.coulomb_energy(rho, spec_pad=spec_rho)
         P = 0.0 if self.V is None else self.inner(self.V, rho)
         return EnergyBreakdown(T, D, P), (spec_psi, spec_rho)
 
-    def hamiltonian(self, values: np.ndarray, spectra=(None, None), consume: bool = False) -> np.ndarray:
-        """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ, reusing the spectra of evaluate when given."""
+    def hamiltonian(self, values: np.ndarray, spectra=(None, None)) -> np.ndarray:
+        """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ, reusing the spectra of evaluate when
+        given; their ρ̂ is overwritten."""
         spec_psi, spec_rho = spectra
         h = self.ops.neg_laplacian(values, spec=spec_psi)
-        h -= 2 * self.ops.coulomb_potential(values**2, spec_pad=spec_rho, consume=consume) * values
+        h -= 2 * self.ops.coulomb_potential(values**2, spec_pad=spec_rho) * values
         if self.V is not None:
             h -= self.V * values
         return h
 
-    def residual(self, values: np.ndarray, bd=None, spectra=(None, None), consume: bool = False) -> tuple:
+    def residual(self, values: np.ndarray, bd=None, spectra=(None, None)) -> tuple:
         """μ = ⟨ψ, H_ψ ψ⟩, so bd is not needed; the gradient is the L² one,
-        2(H_ψ - μ)ψ."""
-        h = self.hamiltonian(values, spectra, consume)
+        2(H_ψ - μ)ψ.  The ρ̂ of ``spectra`` is overwritten."""
+        h = self.hamiltonian(values, spectra)
         mu = self.inner(values, h)
         res = h - mu * values
         return ELResidual(float(np.sqrt(self.inner(res, res))), mu), 2 * res
@@ -133,20 +133,20 @@ class RadialFunctional:
         """Directional derivative of the energy along d, for the nodal gradient g."""
         return float(np.sum(g * d))
 
-    def evaluate(self, values: np.ndarray, reuse=None) -> tuple:
+    def evaluate(self, values: np.ndarray, out=None) -> tuple:
         # T = Σ c_j (Δu)²; c_seg already carries the dr weight; there are no
-        # spectra, so ``reuse`` is ignored
+        # spectra, so ``out`` is ignored
         T = float(np.sum(self.c_seg * np.diff(values) ** 2))
         rho = values**2
         D = radial_coulomb(RadialField(self.grid, rho))
         P = self.inner(self.V, rho)
         return EnergyBreakdown(T, D, P), None
 
-    def residual(self, values: np.ndarray, bd: EnergyBreakdown, spectra=None, consume=False) -> tuple:
+    def residual(self, values: np.ndarray, bd: EnergyBreakdown, spectra=None) -> tuple:
         """(H u)_j in the weighted metric, with the origin node (zero measure)
         set to 0; the gradient is the nodal one, M·2(H - μ)u, whose origin row
-        couples through the kinetic form only.  ``spectra`` and ``consume``
-        are the box functional's and ignored."""
+        couples through the kinetic form only.  ``spectra`` is the box
+        functional's and ignored."""
         M = self.M
         rho = values**2
         phi = radial_coulomb_potential(RadialField(self.grid, rho))
@@ -183,7 +183,7 @@ def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
     F = BoxFunctional(psi.grid, V)
     b, spectra = F.evaluate(psi.values)
-    return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, spectra, consume=True))
+    return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, spectra))
 
 
 def el_residual(psi: Field3D, V: Field3D | None = None) -> ELResidual:

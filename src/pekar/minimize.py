@@ -16,8 +16,8 @@ stiffness, and the CG directions take about 2.5x fewer steps than
 preconditioned steepest descent.
 
 In the box each step costs a padded Coulomb spectrum per trial.  The loop
-keeps one spare set of spectra (a rejected trial's, or the iterate's it
-has just left) and evaluates every trial into it, and the residual computes
+keeps one spare padded ρ̂ (a rejected trial's, or the iterate's it has
+just left) and evaluates every trial into it, and the residual computes
 Φ_ρ in the iterate's own ρ̂, which is dead after it; so a solve allocates at
 most two padded spectra, the seed's and the first trial's.  A solve reports
 why it stopped: ``converged``, ``max_iters`` or ``no_descent`` (every one of
@@ -255,8 +255,9 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
     check_coercivity(bd, "seed evaluation")
     history = [bd.total]
     norms = [float(np.sqrt(F.inner(psi, psi)))]
-    # the spectra of a rejected trial, or of the iterate a step left behind,
-    # are dead: the next evaluation writes into them
+    # the padded ρ̂ of a rejected trial, or of the iterate a step left
+    # behind, is dead: the next evaluation writes into it (None in the radial
+    # problem, which has no spectra)
     spare = None
     stop = "max_iters"
     step = STEP_INIT
@@ -270,7 +271,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
 
     for it in range(opts.max_iters + 1):
-        el, g = F.residual(psi, bd, spectra, consume=True)  # ρ̂ is dead after Φ_ρ
+        el, g = F.residual(psi, bd, spectra)  # overwrites ρ̂, dead after Φ_ρ
         if done():
             stop = "converged"
             break
@@ -293,11 +294,11 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         for _ in range(MAX_BACKTRACKS):
             cand = psi - s * p
             cand /= np.sqrt(F.inner(cand, cand))
-            bd_t, spectra_t = F.evaluate(cand, reuse=spare)
+            bd_t, spectra_t = F.evaluate(cand, out=spare)
             rise = bd_t.total - bd.total
             if rise <= -ARMIJO_C * s * slope:
                 break
-            spare = spectra_t
+            spare = spectra_t and spectra_t[1]
             # minimizer of the parabola through E(0), E'(0) = -slope and E(s)
             s_min = slope * s * s / (2 * (rise + slope * s))
             s = min(SAFEGUARD[1] * s, max(SAFEGUARD[0] * s, s_min))
@@ -306,7 +307,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
             break
         check_coercivity(bd_t, f"iteration {it}")
         last_dE = -rise
-        spare = spectra
+        spare = spectra and spectra[1]
         psi, bd, spectra = cand, bd_t, spectra_t
         history.append(bd.total)
         norms.append(float(np.sqrt(F.inner(psi, psi))))

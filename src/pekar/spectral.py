@@ -23,8 +23,9 @@ The padded transforms never build the (2n)³ array.  The forward writes
 into one npad×npad×(n+1) half-spectrum, which a caller may hand back for
 reuse: the last-axis pass runs on the n² nonzero lines, axis 0 on the n
 nonzero columns, axis 1 on everything, the last two in place; in that order it
-is bit-identical to rfftn of the padded array.  The inverse crops after
-each axis pass, and it may multiply ŵ into a spectrum the caller gives up.
+is bit-identical to rfftn of the padded array.  The inverse multiplies ŵ
+into the spectrum it is given, which the caller gives up, and crops after
+each axis pass.
 """
 
 from __future__ import annotations
@@ -87,16 +88,18 @@ class SpectralOps:
         The real padded array is never built, and each pass skips the lines
         still known to be zero: the last axis runs on the n² nonzero lines,
         axis 0 on the n nonzero columns out[:, :n], and axis 1 on the whole
-        array.  The two complex passes run in place (``overwrite_x`` on a
-        complex view), and in this order the result equals rfftn of the
-        padded array bit for bit; axis 1 on the first n planes before axis 0
-        does not.
+        array.  The two complex passes run in place, and in this order the
+        result equals rfftn of the padded array bit for bit; axis 1 on the
+        first n planes before axis 0 does not.
         """
         n, npad = self.grid.n, self.npad
         if out is None:
             out = np.empty((npad, npad, n + 1), dtype=np.complex128)
         out[:n, :n] = sfft.rfft(values, n=npad, axis=2, workers=_WORKERS)
         out[n:, :n] = 0
+        # the two complex passes discard scipy's return: its c2c pass writes
+        # into a complex input when overwrite_x is set (scipy only documents
+        # that the input may be destroyed), which TestPrunedTransforms checks
         sfft.fft(out[:, :n], axis=0, overwrite_x=True, workers=_WORKERS)
         out[:, n:] = 0
         sfft.fft(out, axis=1, overwrite_x=True, workers=_WORKERS)
@@ -129,23 +132,20 @@ class SpectralOps:
             spec_pad = self.fft_padded(rho)
         return self._reduce(self.wk, spec_pad, self.dup_p, self.npad)
 
-    def coulomb_potential(
-        self, rho: np.ndarray, spec_pad: np.ndarray | None = None, consume: bool = False
-    ) -> np.ndarray:
+    def coulomb_potential(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> np.ndarray:
         """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box.
 
-        With ``consume`` the caller gives up ``spec_pad``: ŵ·ŝ and the first
-        inverse pass are computed in it, so no padded-size array is allocated.
-        A spectrum built here is consumed the same way.
+        ``spec_pad`` is overwritten: ŵ·ŝ and the first inverse pass are
+        computed in it, so no padded-size array is allocated.
         """
         if spec_pad is None:
-            spec_pad, consume = self.fft_padded(rho), True
+            spec_pad = self.fft_padded(rho)
         # pruned inverse: crop after each axis pass, so the later passes
         # transform only the lines that reach the original box; the passes
         # run unscaled and the 1/npad³ factor is applied once at the end,
         # as irfftn does, which keeps the result bit-identical to it
         n, npad = self.grid.n, self.npad
-        t = np.multiply(self.wk, spec_pad, out=spec_pad if consume else None)
+        t = np.multiply(self.wk, spec_pad, out=spec_pad)
         t = sfft.ifft(t, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
         t = sfft.ifft(t[:n], axis=1, norm="forward", overwrite_x=True, workers=_WORKERS)
         phi = sfft.irfft(t[:, :n], n=npad, axis=2, norm="forward", workers=_WORKERS)

@@ -185,10 +185,7 @@ class TestPrunedTransforms:
         assert SpectralOps.fft_padded(ops, values, out=out) is out
         assert np.array_equal(out, spec)
         phi = sfft.irfftn(ops.wk * spec, s=(npad,) * 3)[:n, :n, :n]
-        kept = spec.copy()
         assert np.array_equal(SpectralOps.coulomb_potential(ops, values, spec_pad=spec), phi)
-        assert np.array_equal(spec, kept)  # the default leaves the caller's spectrum intact
-        assert np.array_equal(SpectralOps.coulomb_potential(ops, values, spec_pad=spec, consume=True), phi)
 
 
 class TestLatticeInvariance:

@@ -7,10 +7,9 @@ the self-generated attractive potential,
 
     (-Δ - 2Φ_ρ - V) ψ = μ ψ,   Φ_ρ = ρ * 1/|x|,   ρ = ψ²,
 
-with μ the Rayleigh quotient ⟨ψ, H_ψ ψ⟩.  The mean-field potential Φ_ρ is
-computed with the same padded kernel as the energy, so the discrete
-energy–gradient pair is exactly consistent and finite differences of the
-energy reproduce the gradient to rounding.
+with μ the Rayleigh quotient ⟨ψ, H_ψ ψ⟩.  The solver's box functional
+computes Φ_ρ with every energy and takes D = ⟨ρ, Φ_ρ⟩, the padded kernel's
+Σ ŵ|ρ̂|² by Parseval, so the energy–gradient pair is exactly consistent.
 """
 
 from __future__ import annotations
@@ -66,10 +65,10 @@ class ELResidual:
 class BoxFunctional:
     """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb.
 
-    ``evaluate`` returns the breakdown and the spectra of ψ and ρ (one padded
-    forward FFT, written into ``out`` when given); ``residual`` reuses those
-    spectra, overwriting ρ̂, and returns ‖(H_ψ - μ)ψ‖ with μ, and the
-    gradient the preconditioner acts on.
+    ``evaluate`` returns the breakdown and (ψ̂, Φ_ρ): one padded forward and
+    inverse in the padded scratch, allocated once per functional; ``residual``
+    reads them and returns ‖(H_ψ - μ)ψ‖ with μ, and the gradient the
+    preconditioner acts on.
     """
 
     def __init__(self, grid: Grid3D, V: Field3D | None = None):
@@ -79,6 +78,7 @@ class BoxFunctional:
         self.ops = ops_for(grid)
         self.dv = grid.cell_volume
         self.V = None if V is None else V.values
+        self._pad = None  # the padded half-spectrum, scratch of evaluate
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.vdot(a, b) * self.dv)
@@ -86,30 +86,29 @@ class BoxFunctional:
     # the gradient of residual is the L² one, so it pairs with a direction by inner
     pairing = inner
 
-    def evaluate(self, values: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    def evaluate(self, values: np.ndarray) -> tuple:
         ops = self.ops
         spec_psi = ops.fft(values)
         T = ops.kinetic(values, spec=spec_psi)
         rho = values**2
-        spec_rho = ops.fft_padded(rho, out=out)
-        D = ops.coulomb_energy(rho, spec_pad=spec_rho)
+        self._pad = ops.fft_padded(rho, out=self._pad)
+        phi = ops.coulomb_potential(rho, spec_pad=self._pad)
         P = 0.0 if self.V is None else self.inner(self.V, rho)
-        return EnergyBreakdown(T, D, P), (spec_psi, spec_rho)
+        return EnergyBreakdown(T, self.inner(rho, phi), P), (spec_psi, phi)
 
-    def hamiltonian(self, values: np.ndarray, spectra=(None, None)) -> np.ndarray:
-        """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ, reusing the spectra of evaluate when
-        given; their ρ̂ is overwritten."""
-        spec_psi, spec_rho = spectra
+    def hamiltonian(self, values: np.ndarray, fields: tuple) -> np.ndarray:
+        """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ from the (ψ̂, Φ_ρ) of evaluate."""
+        spec_psi, phi = fields
         h = self.ops.neg_laplacian(values, spec=spec_psi)
-        h -= 2 * self.ops.coulomb_potential(values**2, spec_pad=spec_rho) * values
+        h -= 2 * phi * values
         if self.V is not None:
             h -= self.V * values
         return h
 
-    def residual(self, values: np.ndarray, bd=None, spectra=(None, None)) -> tuple:
-        """μ = ⟨ψ, H_ψ ψ⟩, so bd is not needed; the gradient is the L² one,
-        2(H_ψ - μ)ψ.  The ρ̂ of ``spectra`` is overwritten."""
-        h = self.hamiltonian(values, spectra)
+    def residual(self, values: np.ndarray, bd: EnergyBreakdown, fields: tuple) -> tuple:
+        """μ = ⟨ψ, H_ψ ψ⟩, so bd is not read; the gradient is the L² one,
+        2(H_ψ - μ)ψ."""
+        h = self.hamiltonian(values, fields)
         mu = self.inner(values, h)
         res = h - mu * values
         return ELResidual(float(np.sqrt(self.inner(res, res))), mu), 2 * res
@@ -133,20 +132,18 @@ class RadialFunctional:
         """Directional derivative of the energy along d, for the nodal gradient g."""
         return float(np.sum(g * d))
 
-    def evaluate(self, values: np.ndarray, out=None) -> tuple:
-        # T = Σ c_j (Δu)²; c_seg already carries the dr weight; there are no
-        # spectra, so ``out`` is ignored
+    def evaluate(self, values: np.ndarray) -> tuple:
+        # T = Σ c_j (Δu)²; c_seg already carries the dr weight
         T = float(np.sum(self.c_seg * np.diff(values) ** 2))
         rho = values**2
         D = radial_coulomb(RadialField(self.grid, rho))
         P = self.inner(self.V, rho)
         return EnergyBreakdown(T, D, P), None
 
-    def residual(self, values: np.ndarray, bd: EnergyBreakdown, spectra=None) -> tuple:
+    def residual(self, values: np.ndarray, bd: EnergyBreakdown, fields=None) -> tuple:
         """(H u)_j in the weighted metric, with the origin node (zero measure)
         set to 0; the gradient is the nodal one, M·2(H - μ)u, whose origin row
-        couples through the kinetic form only.  ``spectra`` is the box
-        functional's and ignored."""
+        couples through the kinetic form only.  There are no ``fields``."""
         M = self.M
         rho = values**2
         phi = radial_coulomb_potential(RadialField(self.grid, rho))
@@ -169,8 +166,12 @@ class RadialFunctional:
 
 
 def pekar_energy(psi: Field3D, V: Field3D | None = None) -> EnergyBreakdown:
-    """Energy breakdown of a normalized ψ in external potential V."""
-    return BoxFunctional(psi.grid, V).evaluate(psi.values)[0]
+    """Energy breakdown of a normalized ψ in external potential V; D is the
+    padded reduction, so no Φ_ρ is computed."""
+    F = BoxFunctional(psi.grid, V)
+    rho = psi.values**2
+    P = 0.0 if F.V is None else F.inner(F.V, rho)
+    return EnergyBreakdown(F.ops.kinetic(psi.values), F.ops.coulomb_energy(rho), P)
 
 
 def free_energy(psi: Field3D) -> float:
@@ -182,13 +183,14 @@ def free_energy(psi: Field3D) -> float:
 def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
     F = BoxFunctional(psi.grid, V)
-    b, spectra = F.evaluate(psi.values)
-    return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, spectra))
+    b, fields = F.evaluate(psi.values)
+    return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, fields))
 
 
 def el_residual(psi: Field3D, V: Field3D | None = None) -> ELResidual:
     """Residual of the mean-field eigenvalue equation at ψ, with Rayleigh μ."""
-    return BoxFunctional(psi.grid, V).residual(psi.values)[0]
+    F = BoxFunctional(psi.grid, V)
+    return F.residual(psi.values, *F.evaluate(psi.values))[0]
 
 
 def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> EnergyBreakdown:
@@ -197,7 +199,7 @@ def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> Energy
 
 def radial_el_residual(u: RadialField, Vr: RadialField | None = None) -> ELResidual:
     F = RadialFunctional(u.grid, Vr)
-    return F.residual(u.values, F.evaluate(u.values)[0])[0]
+    return F.residual(u.values, *F.evaluate(u.values))[0]
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angular import lift_radial, spherical_average
-from .energy import pekar_energy
+from .energy import BoxFunctional
 from .fields import Field3D, Grid3D, RadialGrid, normalize
 from .minimize import (
     MinimizerResult,
@@ -247,7 +247,9 @@ def fd_derivative(
                 for xj, u in solved.items()
             )
             guess = normalize(Field3D(grid, guess))
-            e_guess = pekar_energy(guess, V).total - delta * potential_energy(Z, guess.density())
+            # E_V(guess) by the solver's functional, as e0 was; its scratch dies here
+            e_guess = BoxFunctional(grid, V).evaluate(guess.values)[0].total
+            e_guess -= delta * potential_energy(Z, guess.density())
             if e_guess < e0 - delta * pairing:
                 warm = guess
         res = perturbed_energy(V, Z, delta, opts, warm=warm)

@@ -20,12 +20,11 @@ support requirement (|x| < L/4) is badly violated by the wide minimizers
 of this problem, with O(1e-2) relative energy errors at working box sizes.
 
 The padded transforms never build the (2n)³ array.  The forward writes
-into one npad×npad×(n+1) half-spectrum, which a caller may hand back for
-reuse: the last-axis pass runs on the n² nonzero lines, axis 0 on the n
-nonzero columns, axis 1 on everything, the last two in place; in that order it
-is bit-identical to rfftn of the padded array.  The inverse multiplies ŵ
-into the spectrum it is given, which the caller gives up, and crops after
-each axis pass.
+into one npad×npad×(n+1) half-spectrum, new or the caller's scratch, and
+skips the lines known to be zero; it is bit-identical to rfftn of the
+padded array.  The inverse multiplies ŵ into that spectrum and crops after
+each axis pass.  The solver never holds a spectrum: its functional turns
+each one into Φ_ρ at once, with D = ⟨ρ, Φ_ρ⟩ (``pekar.energy``).
 """
 
 from __future__ import annotations
@@ -90,19 +89,21 @@ class SpectralOps:
         axis 0 on the n nonzero columns out[:, :n], and axis 1 on the whole
         array.  The two complex passes run in place, and in this order the
         result equals rfftn of the padded array bit for bit; axis 1 on the
-        first n planes before axis 0 does not.
+        first n planes before axis 0 does not.  The first pass writes
+        straight into out[:n, :n], with no padded real copy.
         """
         n, npad = self.grid.n, self.npad
         if out is None:
             out = np.empty((npad, npad, n + 1), dtype=np.complex128)
-        out[:n, :n] = sfft.rfft(values, n=npad, axis=2, workers=_WORKERS)
+        np.fft.rfft(values, n=npad, axis=2, out=out[:n, :n])
         out[n:, :n] = 0
-        # the two complex passes discard scipy's return: its c2c pass writes
-        # into a complex input when overwrite_x is set (scipy only documents
-        # that the input may be destroyed), which TestPrunedTransforms checks
-        sfft.fft(out[:, :n], axis=0, overwrite_x=True, workers=_WORKERS)
         out[:, n:] = 0
-        sfft.fft(out, axis=1, overwrite_x=True, workers=_WORKERS)
+        for a, axis in ((out[:, :n], 0), (out, 1)):
+            # scipy's c2c pass writes into a complex input under overwrite_x,
+            # but documents only that the input may be destroyed
+            r = sfft.fft(a, axis=axis, overwrite_x=True, workers=_WORKERS)
+            if not np.shares_memory(r, a):
+                a[...] = r
         return out
 
     # -- energies and operators ---------------------------------------------

@@ -19,6 +19,7 @@ from pekar import (
 )
 from pekar.energy import check_coercivity
 from pekar.potentials import smooth_bump
+from pekar.spectral import SpectralOps
 
 from conftest import gaussian_psi, gaussian_radial, smooth_random_psi
 
@@ -40,6 +41,23 @@ class TestBreakdown:
         psi = smooth_random_psi(grid32, np.random.default_rng(0))
         b = pekar_energy(psi)
         assert free_energy(psi) == b.kinetic - b.coulomb
+
+    def test_one_shot_energies_compute_no_potential(self, grid32, monkeypatch):
+        # they take the padded reduction, a padded inverse cheaper than Φ_ρ
+        calls = []
+        potential = SpectralOps.coulomb_potential
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return potential(*args, **kw)
+
+        monkeypatch.setattr(SpectralOps, "coulomb_potential", counting)
+        psi = gaussian_psi(grid32, 1.0)
+        pekar_energy(psi)
+        free_energy(psi)
+        assert calls == []
+        el_residual(psi)
+        assert len(calls) == 1
 
     def test_translation_invariance_of_free_energy(self, grid32):
         psi = gaussian_psi(grid32, 0.8)

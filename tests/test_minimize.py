@@ -221,9 +221,9 @@ def test_reported_residual_is_that_of_the_returned_iterate(max_iters):
     assert box.stop == rad.stop == ("converged" if max_iters == 500 else "max_iters")
 
 
-def test_box_solve_allocates_two_padded_spectra(monkeypatch):
-    # the loop hands each evaluation the padded ρ̂ of a rejected trial or of
-    # the iterate it left, so only the seed and the first trial allocate
+def test_box_solve_allocates_one_padded_spectrum(monkeypatch):
+    # the functional keeps its padded scratch from one evaluation to the
+    # next, so only the seed's evaluation allocates one
     fresh = []
     fft_padded = SpectralOps.fft_padded
 
@@ -235,7 +235,7 @@ def test_box_solve_allocates_two_padded_spectra(monkeypatch):
     res = _box_free()
     assert res.iterations >= 8
     assert len(fresh) > res.iterations
-    assert sum(fresh) <= 2
+    assert sum(fresh) <= 1
 
 
 class TestStopReason:

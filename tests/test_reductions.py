@@ -76,6 +76,14 @@ class TestAgainstTheSumForms:
         ref = _reference_reduce(ops.wk, spec_pad, ops.dup_p, g.cell_volume, ops.npad)
         assert ops.coulomb_energy(rho, spec_pad=spec_pad) == pytest.approx(ref, rel=REL)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_solver_coulomb_is_the_padded_reduction(self, n):
+        # the solver's D = ⟨ρ, Φ_ρ⟩·dv equals Σ ŵ|ρ̂|² on the padded grid (Parseval)
+        g = Grid3D(n, 20.0)
+        psi = smooth_random_psi(g, np.random.default_rng(n)).values
+        bd = BoxFunctional(g).evaluate(psi)[0]
+        assert bd.coulomb == pytest.approx(ops_for(g).coulomb_energy(psi**2), rel=REL)
+
 
 class TestNoFullSizeTemporary:
     """Traced peak of each call below one n³ float64 array (the calls return floats)."""

@@ -187,6 +187,25 @@ class TestPrunedTransforms:
         phi = sfft.irfftn(ops.wk * spec, s=(npad,) * 3)[:n, :n, :n]
         assert np.array_equal(SpectralOps.coulomb_potential(ops, values, spec_pad=spec), phi)
 
+    def test_result_placed_when_scipy_returns_a_new_array(self, monkeypatch):
+        # scipy documents overwrite_x only as "the input may be destroyed",
+        # so a c2c pass that leaves its input untouched must still count
+        class FreshFFT:
+            def __getattr__(self, name):
+                return getattr(sfft, name)
+
+            @staticmethod
+            def fft(a, **kw):
+                return sfft.fft(a.copy(), **kw)
+
+        n = 16
+        ops = SimpleNamespace(grid=SimpleNamespace(n=n), npad=2 * n)
+        values = np.random.default_rng(n).random((n, n, n))
+        big = np.zeros((2 * n,) * 3)
+        big[:n, :n, :n] = values
+        monkeypatch.setattr("pekar.spectral.sfft", FreshFFT())
+        assert np.array_equal(SpectralOps.fft_padded(ops, values), sfft.rfftn(big))
+
 
 class TestLatticeInvariance:
     def test_translation_invariance_whole_cells(self, grid32):

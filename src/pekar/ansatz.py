@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .energy import pekar_energy
-from .fields import Field3D, Grid3D
+from .fields import Field3D, Grid3D, finite_real, integer_index
 from .spectral import kinetic_energy
 
 _GL_ORDER = 12
@@ -94,6 +94,8 @@ class KGrid:
     k_max: float
 
     def __post_init__(self):
+        integer_index("n_k", self.n_k)
+        finite_real("k_max", self.k_max)
         if self.n_k < 2 or self.n_k % 2 != 0:
             raise ValueError(f"n_k must be even and >= 2, got {self.n_k}")
         if not (self.k_max > 0):

@@ -26,9 +26,10 @@ import numpy as np
 from . import __version__
 from .angular import spherical_average
 from .ansatz import alpha_scaling_check, min_product_energy
-from .config import ConfigError, ExperimentConfig, integer, number, parsed
+from .config import ConfigError, ExperimentConfig, number, parsed
 from .energy import pekar_energy
 from .experiments import (
+    ORBIT_DIRECTIONS,
     _check_deltas,
     center_of_mass,
     fd_derivative,
@@ -160,12 +161,9 @@ def _run_product_energy(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_orbit(cfg: ExperimentConfig) -> tuple:
-    rep = rotation_orbit_evidence(cfg.potential, cfg.params["n_seeds"], cfg.grid, cfg.solver,
-                                  rng_seed=cfg.rng_seed, rgrid=cfg.radial_grid)
-    rows = [
-        {"seed_index": i, "energy": e, "converged": c}
-        for i, (e, c) in enumerate(zip(rep.energies, rep.converged))
-    ]
+    rep = rotation_orbit_evidence(cfg.potential, cfg.grid, cfg.solver, rgrid=cfg.radial_grid)
+    rows = [{"direction": d, "energy": e, "converged": c}
+            for d, e, c in zip(ORBIT_DIRECTIONS, rep.energies, rep.converged)]
     summary = {"energy_spread": rep.energy_spread, "max_profile_mismatch": rep.max_profile_mismatch}
     return {"orbit.csv": rows, "orbit_summary.json": summary}, list(rep.converged)
 
@@ -206,9 +204,10 @@ def _check_product_energy(cfg: ExperimentConfig) -> None:
 
 
 def _check_orbit(cfg: ExperimentConfig) -> None:
-    integer("experiment.params.n_seeds", cfg.params["n_seeds"], 1)
-    if "seed" in dict(cfg.raw.get("solver", {})):
-        raise ConfigError("solver.seed", "orbit draws every seed from the top-level seed")
+    if cfg.potential.kind != "annular":
+        raise ConfigError("potential.kind", "orbit translates Q into an annular well")
+    if "seed" in cfg.raw.get("solver", {}):
+        raise ConfigError("solver.seed", "orbit seeds every solve with a translate of Q")
 
 
 class Experiment(NamedTuple):
@@ -231,7 +230,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     # square_completion_defect are computed at α = 1 whatever alpha is
     "product-energy": Experiment(("grid", "kgrid"), {"alpha": 1.0, "sigma": 1.0},
                                  _run_product_energy, _check_product_energy),
-    "orbit": Experiment(("grid", "potential"), {"n_seeds": 2}, _run_orbit, _check_orbit),
+    "orbit": Experiment(("grid", "potential"), {}, _run_orbit, _check_orbit),
 }
 
 

@@ -62,6 +62,13 @@ def integer(path: str, value, minimum: int = 1) -> int:
     return value
 
 
+def _object(path: str, value) -> dict:
+    """``value`` if it is a JSON object, else a ConfigError naming ``path``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
+    return value
+
+
 def _only(path: str, obj: dict, allowed) -> None:
     """Raise a ConfigError naming ``path`` + the first key of ``obj`` not in ``allowed``."""
     for k in obj:
@@ -74,9 +81,7 @@ def _section(data: dict, path: str, fields: dict, build):
     or None when the section is absent."""
     if path not in data:
         return None
-    sec = data[path]
-    if not isinstance(sec, dict):
-        raise ConfigError(path, "must be an object")
+    sec = _object(path, data[path])
     _only(f"{path}.", sec, fields)
     for k in fields:
         if k not in sec:
@@ -105,9 +110,7 @@ class ExperimentConfig:
         top-level field of that name; ``raw`` stays ``data``."""
         from .cli import EXPERIMENTS  # the registry sits next to its runners
 
-        if not isinstance(data, dict):
-            raise ConfigError("config", "must be an object")
-        raw, data = data, {**data, **(overrides or {})}
+        raw, data = _object("config", data), {**data, **(overrides or {})}
         _only("", data, ("experiment", "grid", "radial_grid", "kgrid", "potential", "solver",
                          "output_dir", "seed", "strict"))
         if "experiment" not in data:
@@ -122,9 +125,7 @@ class ExperimentConfig:
                 "experiment.name", f"unknown experiment {name!r}; one of {tuple(EXPERIMENTS)}"
             )
         entry = EXPERIMENTS[name]
-        given = exp.get("params", {})
-        if not isinstance(given, dict):
-            raise ConfigError("experiment.params", "must be an object")
+        given = _object("experiment.params", exp.get("params", {}))
         _only("experiment.params.", given, entry.params)
 
         grid = _section(data, "grid", {"n": integer, "L": number}, Grid3D)
@@ -141,10 +142,10 @@ class ExperimentConfig:
         strict = data.get("strict", False)
         if not isinstance(strict, bool):
             raise ConfigError("strict", f"must be true or false, got {strict!r}")
-        solver_data = parsed("solver", dict, data.get("solver", {}))
+        solver_data = dict(_object("solver", data.get("solver", {})))
         seed_spec = SeedSpec(rng_seed=rng_seed)
         if "seed" in solver_data:
-            sd = parsed("solver.seed", dict, solver_data.pop("seed"))
+            sd = dict(_object("solver.seed", solver_data.pop("seed")))
             sd.setdefault("rng_seed", rng_seed)
             seed_spec = parsed("solver.seed", lambda: SeedSpec(**sd))
         solver = parsed("solver", lambda: SolveOptions(seed=seed_spec, **solver_data))

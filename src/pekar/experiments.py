@@ -37,9 +37,7 @@ from .energy import BoxFunctional
 from .fields import Field3D, Grid3D, RadialGrid, normalize
 from .minimize import (
     MinimizerResult,
-    SeedSpec,
     SolveOptions,
-    build_seed,
     minimize,
     minimize_radial,
     solve_free,
@@ -308,42 +306,31 @@ def rotational_density_check(u: Field3D, W: Field3D) -> tuple:
     return abs(a - b), abs(b - c)
 
 
+# the lattice-symmetric translate directions: axis, face diagonal, cube diagonal
+ORBIT_DIRECTIONS = {"axis": (1.0, 0.0, 0.0), "face": (1.0, 1.0, 0.0), "diagonal": (1.0, 1.0, 1.0)}
+
+
 def rotation_orbit_evidence(
     Vspec: PotentialSpec,
-    n_seeds: int,
     grid: Grid3D,
     opts: SolveOptions = SolveOptions(),
-    rng_seed: int = 0,
     rgrid: Optional[RadialGrid] = None,
 ) -> OrbitReport:
-    """Solve from several random-direction seeds; compare energies and
-    spherical-average density profiles.  Agreement is evidence (never
-    proof) that the minimizers form one rotation orbit.  The annular
-    well's seeds translate Q solved on ``rgrid`` (default grid if None).
-    Non-annular solves are recentred by their centre of mass before their
-    profiles are compared.  The solves leave their seeded directions: on the R=8 well at n=32, L=40
-    each lump drifts along the flat orbit to a lattice axis, so the report
-    compares lattice-axis minimizers, not a sample of the continuous orbit."""
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
-    rng = np.random.default_rng(rng_seed)
+    """Solve the annular well from Q (solved on ``rgrid``, default grid if
+    None) translated along each of ``ORBIT_DIRECTIONS``; compare energies
+    and spherical-average density profiles.  Each seed keeps its lattice
+    symmetry under the solver, so each solve stays on its direction, and
+    the energy spread is the lattice anisotropy A(n) of the orbit, which
+    tends to 0 with n if the minimizers form one rotation orbit.  The
+    lowest direction depends on n (the axis at n=32 on the R=8 well)."""
+    if Vspec.kind != "annular":
+        raise ValueError(f"the orbit needs an annular potential, got {Vspec.kind!r}")
     V = Vspec.build(grid)
+    Q = solve_free(rgrid).psi
     energies, profiles, converged = [], [], []
-    for _ in range(n_seeds):
-        if Vspec.kind == "annular":
-            d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
-            seed = translate_seed(solve_free(rgrid).psi, Vspec.R, grid, direction=tuple(d))
-        else:
-            seed = build_seed(
-                SeedSpec(kind="random_perturbed", rng_seed=int(rng.integers(2**31))), grid
-            )
-        res = minimize(V, opts, seed_field=seed)
-        psi = res.psi
-        if Vspec.kind != "annular":
-            shift = np.rint(center_of_mass(psi.density()) / grid.dx).astype(int)
-            psi = Field3D(grid, np.roll(psi.values, tuple(-shift), axis=(0, 1, 2)))
-        prof = spherical_average(psi.density())
+    for d in ORBIT_DIRECTIONS.values():
+        res = minimize(V, opts, seed_field=translate_seed(Q, Vspec.R, grid, direction=d))
+        prof = spherical_average(res.psi.density())
         profiles.append(prof.values[~prof.extrapolated])
         energies.append(res.energy.total)
         converged.append(res.converged)

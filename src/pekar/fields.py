@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,16 @@ def finite_real(name: str, value) -> float:
     return float(value)
 
 
+def integer_index(name: str, value) -> int:
+    """``value`` as an int; TypeError unless it is an integer (numpy's too), not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid3D:
     """Uniform periodic box [-L/2, L/2)³ with n cells per axis.
@@ -49,6 +60,8 @@ class Grid3D:
     L: float
 
     def __post_init__(self):
+        integer_index("n", self.n)
+        finite_real("L", self.L)
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
         if not (self.L > 0):
@@ -123,6 +136,8 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
+        integer_index("m", self.m)
+        finite_real("r_max", self.r_max)
         if self.m < 4:
             raise ValueError(f"m must be >= 4, got {self.m}")
         if not (self.r_max > 0):

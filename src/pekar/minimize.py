@@ -25,7 +25,6 @@ reports why it stopped: ``converged``, ``max_iters`` or ``no_descent``
 from __future__ import annotations
 
 import functools
-import operator
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Union
@@ -47,6 +46,7 @@ from .fields import (
     RadialField,
     RadialGrid,
     finite_real,
+    integer_index,
     normalize,
 )
 from .spectral import ops_for
@@ -104,8 +104,7 @@ class SolveOptions:
     seed: SeedSpec = dc_field(default_factory=SeedSpec)
 
     def __post_init__(self):
-        # operator.index raises TypeError on a float
-        if isinstance(self.max_iters, bool) or operator.index(self.max_iters) < 0:
+        if integer_index("max_iters", self.max_iters) < 0:
             raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         for name in ("tolerance_energy", "tolerance_residual"):
             if finite_real(name, getattr(self, name)) <= 0:
@@ -119,11 +118,18 @@ class MinimizerResult:
     psi: Union[Field3D, RadialField]
     energy: EnergyBreakdown
     residual: ELResidual
-    iterations: int  # accepted steps, len(history) - 1
-    converged: bool
     stop: str  # "converged", "max_iters", or "no_descent" (MAX_BACKTRACKS trials rejected)
-    history: np.ndarray
+    history: np.ndarray  # the energy of the seed, then of each accepted step
     norm_history: np.ndarray = dc_field(default_factory=lambda: np.array([]))
+
+    @property
+    def iterations(self) -> int:
+        """Accepted steps."""
+        return len(self.history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +315,6 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         psi=type(seed)(seed.grid, psi),
         energy=bd,
         residual=el,
-        iterations=len(history) - 1,
-        converged=stop == "converged",
         stop=stop,
         history=np.asarray(history),
         norm_history=np.asarray(norms),

@@ -36,6 +36,15 @@ class TestKGrid:
         with pytest.raises(ValueError):
             KGrid(8, -1.0)
 
+    @pytest.mark.parametrize("n_k, k_max, error", [
+        (8.0, 2.0, TypeError), (True, 2.0, TypeError), ("8", 2.0, TypeError),
+        (8, np.inf, ValueError), (8, np.nan, ValueError), (8, True, ValueError),
+    ])
+    def test_sizes_checked_when_built(self, n_k, k_max, error):
+        # each of these used to build and fail later, in np.arange or as NaN weights
+        with pytest.raises(error, match=r"^(n_k must be an integer|k_max must be a finite)"):
+            KGrid(n_k, k_max)
+
     def test_corner_cell_closed_form_vs_adaptive_oracle(self):
         # J = 3 ∫₀¹∫₀¹ dx dy/(1+x²+y²) by adaptive quadrature
         from scipy.integrate import dblquad

@@ -69,7 +69,7 @@ def perturb_cfg(out):
 
 def orbit_cfg(out):
     # the orbit seeds every solve itself and takes no solver.seed
-    data = {**solve_full_cfg(out), "experiment": {"name": "orbit", "params": {"n_seeds": 2}}}
+    data = {**solve_full_cfg(out), "experiment": {"name": "orbit"}}
     del data["solver"]["seed"]
     return data
 
@@ -163,6 +163,13 @@ class TestValidate:
                 "solver: tolerance_energy must be a finite real number, got inf",
             ),
             (lambda d: d["solver"].update(max_iters=True), "solver: max_iters must be an integer"),
+            # solver and solver.seed went through dict(), so a list of pairs was read as one
+            (lambda d: d.update(solver=[]), "solver: must be an object"),
+            (lambda d: d.update(solver=[["max_iters", 5]]), "solver: must be an object"),
+            (
+                lambda d: d["solver"].update(seed=[["kind", "radial_gaussian"]]),
+                "solver.seed: must be an object",
+            ),
         ],
     )
     def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edit, path):
@@ -341,7 +348,9 @@ class TestRunOrbit:
         assert main(["run", "--config", cfg]) == 0
         assert_manifest_lists_the_files(out)
         lines = (out / "orbit.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
+        assert lines[0] == "direction,energy,converged"
+        assert [line.split(",")[0] for line in lines[1:]] == ["axis", "face", "diagonal"]
+        assert all(line.endswith(",True") for line in lines[1:])
         summary = json.loads((out / "orbit_summary.json").read_text())
         assert summary["energy_spread"] < 1e-3
 
@@ -351,7 +360,6 @@ class TestRunOrbit:
         for name, rgrid in (("default", None), ("coarse", {"m": 512, "r_max": 18.0})):
             data = orbit_cfg(str(tmp_path / name))
             data["solver"]["max_iters"] = 0
-            data["experiment"]["params"]["n_seeds"] = 1
             if rgrid is not None:
                 data["radial_grid"] = rgrid
             assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json")]) == 0
@@ -362,13 +370,30 @@ class TestRunOrbit:
     @pytest.mark.parametrize("seed", [{"kind": "translated_q", "R": 4.0},
                                       {"kind": "random_perturbed", "amplitude": 0.3}])
     def test_solver_seed_rejected(self, tmp_path, capsys, seed):
-        # the orbit draws its seeds from the top-level seed; a solver seed was never read
+        # the orbit seeds each solve with a translate of Q; a solver seed was never read
         data = orbit_cfg(str(tmp_path / "out"))
         data["solver"]["seed"] = seed
         cfg = write_cfg(tmp_path, data)
         for command in ("validate", "run"):
             assert main([command, "--config", cfg]) == 2
             assert "invalid: solver.seed: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, err", [
+        # the orbit solves three fixed directions; it has no seed count
+        (lambda d: d["experiment"].update(params={"n_seeds": 2}),
+         "invalid: experiment.params.n_seeds: takes only []"),
+        # it measures the orbit of a lump in the annular well, nothing else
+        (lambda d: d.update(potential={"kind": "constant", "value": 1.0}),
+         "invalid: potential.kind: "),
+    ])
+    def test_config_the_orbit_cannot_run_exits_2(self, tmp_path, capsys, edit, err):
+        data = orbit_cfg(str(tmp_path / "out"))
+        edit(data)
+        cfg = write_cfg(tmp_path, data)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg]) == 2
+            assert err in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -89,7 +89,7 @@ class TestValidation:
         "over, path",
         [
             ({"seeed": 9}, "seeed"),
-            ({"experiment": {"name": "orbit", "parms": {"n_seeds": 5}}}, "experiment.parms"),
+            ({"experiment": {"name": "orbit", "parms": {}}}, "experiment.parms"),
             ({"grid": {"n": 32, "L": 20.0, "N": 64}}, "grid.N"),
             ({"radial_grid": {"m": 512, "r_max": 18.0, "dr": 0.1}}, "radial_grid.dr"),
             ({"kgrid": {"n_k": 8, "k_max": 2.0, "nk": 8}}, "kgrid.nk"),
@@ -100,9 +100,8 @@ class TestValidation:
             ExperimentConfig.from_dict(make(**over))
 
     def test_declared_defaults_filled_in(self):
-        # the orbit takes no solver.seed
-        cfg = ExperimentConfig.from_dict(make(experiment={"name": "orbit"}, solver={}))
-        assert cfg.params == {"n_seeds": 2}
+        cfg = ExperimentConfig.from_dict(make(experiment={"name": "product-energy"}))
+        assert cfg.params == {"alpha": 1.0, "sigma": 1.0}
 
 
 # the params each experiment needs before any other param can be varied
@@ -115,9 +114,9 @@ JSON_VALUES = st.recursive(
 )
 
 # (experiment, key): every declared param of every experiment, then the
-# top-level seed and workers, a key that no config takes
+# top-level seed and solver, and workers, a key that no config takes
 SLOTS = [(name, p) for name, e in EXPERIMENTS.items() for p in e.params]
-SLOTS += [("solve-full", "workers"), ("solve-full", "seed")]
+SLOTS += [("solve-full", "workers"), ("solve-full", "seed"), ("solve-full", "solver")]
 
 
 def placed(name: str, key: str, value) -> dict:
@@ -125,7 +124,7 @@ def placed(name: str, key: str, value) -> dict:
     data = make(experiment={"name": name, "params": params})
     if name == "orbit":  # the orbit takes no solver.seed
         data["solver"] = {"max_iters": 50}
-    if key in ("workers", "seed"):
+    if key in ("workers", "seed", "solver"):
         data[key] = value
     else:
         params[key] = value
@@ -136,12 +135,15 @@ class TestMalformedValues:
     @pytest.mark.parametrize(
         "name, key, value, path",
         [
-            ("orbit", "n_seeds", "2", "experiment.params.n_seeds"),
+            # the orbit's seed count is gone: its old default is an undeclared param
+            ("orbit", "n_seeds", 2, "experiment.params.n_seeds"),
             ("sweep-R", "R_list", [4.0, "x"], r"experiment.params.R_list\[1\]"),
             ("sweep-R", "R_list", 6, "experiment.params.R_list"),
             ("perturb", "deltas", "ab", "experiment.params.deltas"),
             ("solve-full", "workers", "two", "workers"),
             ("solve-full", "seed", "x", "seed"),
+            ("solve-full", "solver", [], "solver"),
+            ("solve-full", "solver", [["max_iters", 5]], "solver"),
         ],
     )
     def test_named_config_error(self, name, key, value, path):

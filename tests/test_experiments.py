@@ -249,20 +249,45 @@ class TestRotationalDensityCheck:
 
 
 class TestOrbitEvidence:
-    def test_single_seed_trivially_consistent(self, grid_R4):
+    def test_three_lattice_directions_agree(self, grid_R4):
+        # R=4 is in the radial regime: all three seeds reach the centred minimizer
         spec = PotentialSpec(kind="annular", R=4.0)
-        rep = rotation_orbit_evidence(spec, 1, grid_R4, OPTS, rng_seed=3)
-        assert len(rep.energies) == 1
-        assert rep.max_profile_mismatch == 0.0
-        assert rep.energy_spread == 0.0
-
-    def test_two_random_directions_agree(self, grid_R4):
-        spec = PotentialSpec(kind="annular", R=4.0)
-        rep = rotation_orbit_evidence(spec, 2, grid_R4, OPTS, rng_seed=11)
-        assert all(rep.converged)
+        rep = rotation_orbit_evidence(spec, grid_R4, OPTS)
+        assert len(rep.energies) == 3 and all(rep.converged)
         assert rep.energy_spread <= 1e-3 * abs(np.mean(rep.energies))
         peak = 0.06  # density scale of the bound lump
         assert rep.max_profile_mismatch <= 2e-3 * peak + 5e-4
+
+    def test_each_solve_stays_on_its_direction(self, monkeypatch):
+        # R=8 breaks the symmetry: each lump keeps its seed's lattice symmetry,
+        # so the spread is the lattice anisotropy A(32), the axis lowest
+        import pekar.experiments as exp
+
+        solved, solve = [], exp.minimize
+
+        def recording(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(exp, "minimize", recording)
+        grid = Grid3D(32, 40.0)
+        opts = SolveOptions(max_iters=2000, tolerance_residual=1e-5)
+        rep = rotation_orbit_evidence(PotentialSpec(kind="annular", R=8.0), grid, opts)
+        assert all(rep.converged)
+        for res, d in zip(solved, exp.ORBIT_DIRECTIONS.values()):
+            com = center_of_mass(res.psi.density())
+            d = np.asarray(d) / np.linalg.norm(d)
+            assert com @ d > 2.0
+            assert np.linalg.norm(com - (com @ d) * d) <= 1e-9 * np.linalg.norm(com)
+        assert np.argmin(rep.energies) == 0
+        assert rep.energy_spread == pytest.approx(8.7e-5, abs=0.05e-5)
+
+    def test_non_annular_potential_rejected(self, grid_R4, monkeypatch):
+        import pekar.experiments as exp
+
+        monkeypatch.setattr(exp, "minimize", None)  # no solve is started
+        with pytest.raises(ValueError, match="annular"):
+            rotation_orbit_evidence(PotentialSpec(kind="constant", value=1.0), grid_R4, OPTS)
 
 
 class TestSweep:

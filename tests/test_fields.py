@@ -5,6 +5,7 @@ from pekar import (
     DegenerateFieldError,
     Field3D,
     Grid3D,
+    KGrid,
     RadialField,
     RadialGrid,
     load_field,
@@ -26,6 +27,20 @@ class TestGrid3D:
     def test_invalid_parameters_rejected(self, n, L):
         with pytest.raises(ValueError):
             Grid3D(n, L)
+
+    @pytest.mark.parametrize("n, L, error", [
+        (32.0, 20.0, TypeError), (True, 20.0, TypeError), (np.float64(32), 20.0, TypeError),
+        (32, np.inf, ValueError), (32, np.nan, ValueError), (32, "20", ValueError),
+    ])
+    def test_sizes_checked_when_built(self, n, L, error):
+        # each of these used to build and fail later, in np.arange or as NaN norms
+        with pytest.raises(error, match=r"^(n must be an integer|L must be a finite)"):
+            Grid3D(n, L)
+
+    def test_numpy_sizes_accepted(self):
+        assert Grid3D(np.int64(16), np.float64(8.0)) == Grid3D(16, 8.0)
+        assert RadialGrid(np.int32(64), np.float32(10.0)) == RadialGrid(64, 10.0)
+        assert KGrid(np.int64(8), np.float64(2.0)) == KGrid(8, 2.0)
 
 
 class TestNormalize:
@@ -55,6 +70,15 @@ class TestNormalize:
 
 
 class TestRadialGrid:
+    @pytest.mark.parametrize("m, r_max, error", [
+        (64.5, 10.0, TypeError), (64.0, 10.0, TypeError), (False, 10.0, TypeError),
+        (64, np.inf, ValueError), (64, -np.inf, ValueError), (64, None, ValueError),
+    ])
+    def test_sizes_checked_when_built(self, m, r_max, error):
+        # each of these used to build and fail later, in np.linspace or as NaN norms
+        with pytest.raises(error, match=r"^(m must be an integer|r_max must be a finite)"):
+            RadialGrid(m, r_max)
+
     def test_trapezoid_exact_for_piecewise_linear_integrand(self):
         # quadrature Σ w_j f_j r_j² integrates g(r) = f(r) r²; feed a g that is
         # globally linear, g = 2 + 3r, so the rule must be exact

@@ -250,7 +250,8 @@ class TestStopReason:
 
 
 def test_off_axis_seed_converges():
-    # Q translated along a random direction, as the rotation-orbit seeds are
+    # solver robustness: Q translated along a direction of no lattice symmetry
+    # drifts over the flat orbit to a lattice direction before it converges
     g = Grid3D(32, 40.0)
     V = PotentialSpec(kind="annular", R=8.0).build(g)
     d = np.random.default_rng(0).standard_normal(3)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.integrate import lebedev_rule
 
 from .fields import Field3D, Grid3D, RadialField, RadialGrid
 
@@ -32,6 +31,8 @@ _LEBEDEV_ORDER = 35
 
 
 def _lebedev() -> tuple:
+    from scipy.integrate import lebedev_rule  # lazy, as in spherical_average
+
     pts, wts = lebedev_rule(_LEBEDEV_ORDER)
     return pts.T.copy(), wts / np.sum(wts)  # directions (N,3), weights summing to 1
 
@@ -49,8 +50,9 @@ def spherical_average(f: Field3D) -> RadialField:
     Radii beyond the inscribed ball (r > L/2) are flagged extrapolated:
     the directional samples then wrap through the periodic images.
     """
-    # imported here: scipy.ndimage adds 1-2 MB of RSS to every process that
-    # imports pekar, and only this diagnostic needs it
+    # imported here, as scipy.integrate is in _lebedev: only this diagnostic
+    # needs them, and at module level the two would add about 250 modules and
+    # 20 MB of RSS to every process that imports pekar (scipy.ndimage 1 MB)
     from scipy import ndimage
 
     g = f.grid

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .angular import spherical_average
 from .ansatz import alpha_scaling_check, min_product_energy
-from .config import ConfigError, ExperimentConfig, number, parsed
+from .config import ConfigError, ExperimentConfig, number, parsed, spec
 from .energy import pekar_energy
 from .experiments import (
     ORBIT_DIRECTIONS,
@@ -190,7 +190,7 @@ def _check_perturb(cfg: ExperimentConfig) -> None:
     z = cfg.params["z"]
     if not z:
         raise ConfigError("experiment.params.z", "missing perturbation spec")
-    zspec = parsed("experiment.params.z", lambda: PotentialSpec(**z))
+    zspec = spec("experiment.params.z", PotentialSpec, z)
     if not zspec.is_radial:
         raise ConfigError("experiment.params.z", "perturbation must be radial")
     deltas = _numbers("experiment.params.deltas", cfg.params["deltas"])

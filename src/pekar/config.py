@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Any, Optional
 
 from .fields import Grid3D, RadialGrid, finite_real
@@ -74,6 +74,14 @@ def _only(path: str, obj: dict, allowed) -> None:
     for k in obj:
         if k not in allowed:
             raise ConfigError(path + k, f"takes only {sorted(allowed)}")
+
+
+def spec(path: str, cls, value, **defaults):
+    """cls(**defaults, **value) for a JSON object ``value`` whose keys are all
+    fields of the dataclass ``cls``; errors name ``path`` or the key's path."""
+    obj = _object(path, value)
+    _only(f"{path}.", obj, {f.name for f in dc_fields(cls)})
+    return parsed(path, lambda: cls(**{**defaults, **obj}))
 
 
 def _section(data: dict, path: str, fields: dict, build):
@@ -131,9 +139,7 @@ class ExperimentConfig:
         grid = _section(data, "grid", {"n": integer, "L": number}, Grid3D)
         rgrid = _section(data, "radial_grid", {"m": integer, "r_max": number}, RadialGrid)
         kgrid = _section(data, "kgrid", {"n_k": integer, "k_max": number}, KGrid)
-        pot = None
-        if "potential" in data:
-            pot = parsed("potential", lambda p: PotentialSpec(**p), data["potential"])
+        pot = spec("potential", PotentialSpec, data["potential"]) if "potential" in data else None
 
         rng_seed = integer("seed", data.get("seed", 0), 0)
         output_dir = data.get("output_dir", "out")
@@ -143,12 +149,8 @@ class ExperimentConfig:
         if not isinstance(strict, bool):
             raise ConfigError("strict", f"must be true or false, got {strict!r}")
         solver_data = dict(_object("solver", data.get("solver", {})))
-        seed_spec = SeedSpec(rng_seed=rng_seed)
-        if "seed" in solver_data:
-            sd = dict(_object("solver.seed", solver_data.pop("seed")))
-            sd.setdefault("rng_seed", rng_seed)
-            seed_spec = parsed("solver.seed", lambda: SeedSpec(**sd))
-        solver = parsed("solver", lambda: SolveOptions(seed=seed_spec, **solver_data))
+        seed_spec = spec("solver.seed", SeedSpec, solver_data.pop("seed", {}), rng_seed=rng_seed)
+        solver = spec("solver", SolveOptions, solver_data, seed=seed_spec)
 
         cfg = cls(
             experiment=name,

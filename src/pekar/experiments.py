@@ -17,14 +17,15 @@ Two headline computations.
     monotone solver.  The first solve (+δ_max) starts from u_V; each later
     one starts from the Lagrange interpolation in δ, normalized, of u_V and
     every ±δ solved before it, so the finer δ's start next to their
-    minimizers.  That seed is used only when E_{V+δZ} of it lies below
-    E_{V+δZ}(u_V) = e(V) - δ∫Z|u_V|²; otherwise the solve starts from u_V.
-    Either way the solve ends at or below E_{V+δZ}(u_V), which is the
-    bound forward ≤ -∫Z|u_V|².
+    minimizers.  The seed is tested after its solve, on the energy the
+    solve returns: a solve that ends above E_{V+δZ}(u_V) = e(V) - δ∫Z|u_V|²
+    is redone from u_V.  The monotone solve from u_V ends at or below that
+    value, so either way the result satisfies the bound forward ≤ -∫Z|u_V|².
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .angular import lift_radial, spherical_average
-from .energy import BoxFunctional
 from .fields import Field3D, Grid3D, RadialGrid, normalize
 from .minimize import (
     MinimizerResult,
@@ -111,16 +111,12 @@ class DerivativeReport:
 @dataclass
 class OrbitReport:
     energies: list
-    profile_rms: np.ndarray  # pairwise RMS distance between density profiles
+    max_profile_mismatch: float  # largest pairwise RMS distance between density profiles
     converged: list
 
     @property
     def energy_spread(self) -> float:
-        return float(np.max(self.energies) - np.min(self.energies)) if self.energies else 0.0
-
-    @property
-    def max_profile_mismatch(self) -> float:
-        return float(np.max(self.profile_rms)) if self.profile_rms.size else 0.0
+        return float(np.max(self.energies) - np.min(self.energies))
 
 
 def center_of_mass(rho: Field3D) -> np.ndarray:
@@ -222,7 +218,10 @@ def fd_derivative(
 
     Z must be radial: for nonradial perturbations the map need not be
     differentiable (the sup/inf pairings over the minimizer set differ),
-    so no derivative is claimed there.
+    so no derivative is claimed there.  Every δ after the first is solved
+    from the interpolated seed of the module docstring, (B), and solved
+    again from u_V only when that solve ends above E_{V+δZ}(u_V); the
+    driver evaluates no functional outside its solves.
     """
     _check_deltas(deltas)
     if not Zspec.is_radial:
@@ -235,22 +234,18 @@ def fd_derivative(
     solved = {0.0: uV.values}  # minimizer at each δ solved so far
 
     def solve_at(delta: float) -> MinimizerResult:
-        warm = uV
+        res = None
         if len(solved) > 1:
-            # Lagrange interpolation in δ through the solved δ's, kept only
-            # below E_{V+δZ}(u_V) = e0 - δ·pairing, the variational bound's
-            # reference, so the monotone solve still ends below it
+            # Lagrange interpolation in δ through the solved δ's, normalized
             guess = sum(
                 np.prod([(delta - xm) / (xj - xm) for xm in solved if xm != xj]) * u
                 for xj, u in solved.items()
             )
-            guess = normalize(Field3D(grid, guess))
-            # E_V(guess) by the solver's functional, as e0 was; its scratch dies here
-            e_guess = BoxFunctional(grid, V).evaluate(guess.values)[0].total
-            e_guess -= delta * potential_energy(Z, guess.density())
-            if e_guess < e0 - delta * pairing:
-                warm = guess
-        res = perturbed_energy(V, Z, delta, opts, warm=warm)
+            res = perturbed_energy(V, Z, delta, opts, warm=normalize(Field3D(grid, guess)))
+        # the monotone solve from u_V ends at or below E_{V+δZ}(u_V) = e0 - δ·pairing,
+        # the variational bound's reference; a seeded solve that ends above it is redone
+        if res is None or res.energy.total > e0 - delta * pairing:
+            res = perturbed_energy(V, Z, delta, opts, warm=uV)
         solved[delta] = res.psi.values
         return res
 
@@ -334,11 +329,7 @@ def rotation_orbit_evidence(
         profiles.append(prof.values[~prof.extrapolated])
         energies.append(res.energy.total)
         converged.append(res.converged)
-    k = len(profiles)
-    rms = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            rms[i, j] = rms[j, i] = float(
-                np.sqrt(np.mean((profiles[i] - profiles[j]) ** 2))
-            )
-    return OrbitReport(energies=energies, profile_rms=rms, converged=converged)
+    mismatch = max(
+        float(np.sqrt(np.mean((a - b) ** 2))) for a, b in itertools.combinations(profiles, 2)
+    )
+    return OrbitReport(energies=energies, max_profile_mismatch=mismatch, converged=converged)

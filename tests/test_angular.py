@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +74,18 @@ class TestSphericalAverage:
         samples = _trilinear_reference(f, pts.reshape(-1, 3))
         ref = samples.reshape(prof.grid.m, -1) @ wts
         np.testing.assert_allclose(prof.values, ref, rtol=0.0, atol=1e-13)
+
+    def test_import_pekar_leaves_its_scipy_modules_unloaded(self):
+        # Lebedev (scipy.integrate) and the sampler (scipy.ndimage) load when
+        # spherical_average first runs, not with the package
+        import pekar
+
+        src = str(Path(pekar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, pekar; print([m for m in ('scipy.integrate', 'scipy.ndimage') if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"
 
 
 def _trilinear_reference(f: Field3D, points: np.ndarray) -> np.ndarray:

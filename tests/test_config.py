@@ -93,6 +93,11 @@ class TestValidation:
             ({"grid": {"n": 32, "L": 20.0, "N": 64}}, "grid.N"),
             ({"radial_grid": {"m": 512, "r_max": 18.0, "dr": 0.1}}, "radial_grid.dr"),
             ({"kgrid": {"n_k": 8, "k_max": 2.0, "nk": 8}}, "kgrid.nk"),
+            ({"potential": {"kind": "annular", "R": 4.0, "foo": 1}}, "potential.foo"),
+            ({"solver": {"max_iters": 50, "foo": 1}}, "solver.foo"),
+            ({"solver": {"seed": {"kind": "translated_q", "R": 4.0, "foo": 1}}}, "solver.seed.foo"),
+            ({"experiment": {"name": "perturb", "params": {"z": {"kind": "constant", "foo": 1}}}},
+             "experiment.params.z.foo"),
         ],
     )
     def test_unknown_key_rejected(self, over, path):

@@ -138,7 +138,7 @@ class TestFdDerivative:
 
     def test_ladder_seeds_stay_below_the_base_minimizer(self, grid_R4, base_R4, monkeypatch):
         # each warm start after the first interpolates the δ's already solved;
-        # it must never start above u_V, or the variational bound is lost
+        # on this ladder each starts below u_V, so no solve is redone from u_V
         import pekar.experiments as exp
         from pekar import pekar_energy
 
@@ -163,8 +163,8 @@ class TestFdDerivative:
         assert sum(iters[2:]) < sum(iters[:2])
 
     def test_perturbed_potential_built_once_per_solve(self, grid_R4, base_R4, monkeypatch):
-        # the ladder tests its interpolated seed as E_V(g) - δ∫Z g², so only the
-        # solve itself builds V + δZ
+        # the ladder tests its interpolated seed on the energy its solve returns,
+        # so only the solve itself builds V + δZ
         import pekar.experiments as exp
 
         V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
@@ -183,6 +183,61 @@ class TestFdDerivative:
         monkeypatch.setattr(exp, "Field3D", Counting)
         fd_derivative(V, Zspec, grid_R4, OPTS, deltas=deltas, base=base_R4)
         assert len(builds) == 6
+
+    def test_no_padded_transform_outside_the_solves(self, grid_R4, base_R4, monkeypatch):
+        # the interpolated seeds are judged by the energies their solves
+        # return; the driver evaluates no functional of its own
+        import pekar.experiments as exp
+        from pekar.spectral import SpectralOps
+
+        inside = [False]
+        counts = {True: 0, False: 0}
+        solve, transform = exp.minimize, SpectralOps.fft_padded
+
+        def tracked_solve(*args, **kwargs):
+            inside[0] = True
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counted(self, *args, **kwargs):
+            counts[inside[0]] += 1
+            return transform(self, *args, **kwargs)
+
+        monkeypatch.setattr(exp, "minimize", tracked_solve)
+        monkeypatch.setattr(SpectralOps, "fft_padded", counted)
+        V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
+        Zspec = PotentialSpec(kind="radial_bump", center=3.0, width=1.5)
+        fd_derivative(V, Zspec, grid_R4, OPTS, deltas=(0.04, 0.02, 0.01), base=base_R4)
+        assert counts[True] > 0
+        assert counts[False] == 0
+
+    def test_seeded_solve_above_the_bound_is_redone_from_u_V(self, grid_R4, base_R4, monkeypatch):
+        # the first solve from an interpolated seed is made to end above
+        # E_{V+δZ}(u_V); the driver must solve that δ again from u_V and
+        # keep the bracket forward <= -pairing
+        import pekar.experiments as exp
+
+        V = PotentialSpec(kind="annular", R=4.0).build(grid_R4)
+        Zspec = PotentialSpec(kind="radial_bump", center=3.0, width=1.5)
+        calls = []
+        solve = exp.perturbed_energy
+
+        def spoiled(V_, Z_, delta, opts, warm=None):
+            res = solve(V_, Z_, delta, opts, warm=warm)
+            calls.append((delta, warm))
+            if len(calls) == 3:  # +0.02, the first interpolated seed
+                res = replace(res, energy=replace(res.energy, kinetic=res.energy.kinetic + 1.0))
+            return res
+
+        monkeypatch.setattr(exp, "perturbed_energy", spoiled)
+        rep = fd_derivative(V, Zspec, grid_R4, OPTS, deltas=(0.04, 0.02, 0.01), base=base_R4)
+        assert [c[0] for c in calls] == [0.04, -0.04, 0.02, 0.02, -0.02, 0.01, -0.01]
+        assert calls[2][1] is not base_R4.psi
+        assert calls[3][1] is base_R4.psi
+        for i in range(len(rep.deltas)):
+            assert rep.forward[i] <= -rep.pairing + 1e-10
 
     def test_empty_deltas_rejected_before_the_base_solve(self, grid_R4, base_R4, monkeypatch):
         import pekar.experiments as exp

@@ -60,7 +60,6 @@ from .minimize import (
     minimize,
     minimize_radial,
     radial_gaussian_seed,
-    random_perturbed_seed,
     solve_free,
     translate_seed,
 )

@@ -1,14 +1,15 @@
 """Batch front-end: validate configs, run experiments, export artifacts.
 
     pekar validate --config cfg.json
-    pekar run --config cfg.json [--out DIR] [--strict] [--seed U64]
+    pekar run --config cfg.json [--out DIR] [--strict]
 
 Exit codes: 0 success, 2 validation error (an unknown config key is one),
 3 solver non-convergence in strict mode.  Each flag given to ``run``
 overrides the config field of the same meaning and is checked like it.
 Every run writes a manifest.json carrying the config, its hash, library
-versions, the RNG seed, wall times and the name of every other file
-written; identical config + seed reproduces all numeric outputs bit-identically.
+versions, wall times and the name of every other file written.  Nothing
+draws random numbers, so an identical config reproduces all numeric outputs
+bit-identically.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ def _numbers(path: str, values) -> list:
     return [number(f"{path}[{i}]", v) for i, v in enumerate(values)]
 
 
+def _check_seed_in_box(cfg: ExperimentConfig) -> None:
+    """A translated_q seed translates Q by (R+2)/2: R must meet the well's box rule."""
+    if cfg.solver.seed.kind == "translated_q":
+        parsed("solver.seed.R", check_in_box, cfg.solver.seed.R, cfg.grid)
+
+
 def _check_radial(cfg: ExperimentConfig) -> None:
     if not cfg.potential.is_radial:
         raise ConfigError("potential.kind", "radial solve needs a radial potential")
@@ -195,6 +202,7 @@ def _check_perturb(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.params.z", "perturbation must be radial")
     deltas = _numbers("experiment.params.deltas", cfg.params["deltas"])
     parsed("experiment.params.deltas", _check_deltas, deltas)
+    _check_seed_in_box(cfg)
 
 
 def _check_product_energy(cfg: ExperimentConfig) -> None:
@@ -214,23 +222,28 @@ class Experiment(NamedTuple):
     """What an experiment needs and how it runs."""
 
     sections: tuple  # config sections that must be present
+    optional: tuple  # config sections read when present; any other section is an error
     params: dict  # every param it accepts -> default (None: none; the check decides)
     run: Callable[[ExperimentConfig], tuple]  # -> (files: name -> content, converged flags)
     check: Optional[Callable[[ExperimentConfig], None]] = None  # raises ConfigError
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "solve-free": Experiment(("radial_grid",), {}, _run_solve_free),
-    "solve-radial": Experiment(("radial_grid", "potential"), {}, _run_solve_radial, _check_radial),
-    "solve-full": Experiment(("grid", "potential"), {}, _run_solve_full),
-    "sweep-R": Experiment(("grid", "radial_grid"), {"R_list": None}, _run_sweep, _check_sweep),
-    "perturb": Experiment(("grid", "potential"), {"z": None, "deltas": (0.04, 0.02, 0.01)},
-                          _run_perturb, _check_perturb),
+    "solve-free": Experiment(("radial_grid",), ("solver",), {}, _run_solve_free),
+    "solve-radial": Experiment(("radial_grid", "potential"), ("solver",), {}, _run_solve_radial,
+                               _check_radial),
+    "solve-full": Experiment(("grid", "potential"), ("radial_grid", "solver"), {}, _run_solve_full,
+                             _check_seed_in_box),
+    "sweep-R": Experiment(("grid", "radial_grid"), ("solver",), {"R_list": None}, _run_sweep,
+                          _check_sweep),
+    "perturb": Experiment(("grid", "potential"), ("radial_grid", "solver"),
+                          {"z": None, "deltas": (0.04, 0.02, 0.01)}, _run_perturb, _check_perturb),
     # alpha drives only alpha_scaling_defect: min_product_energy and
     # square_completion_defect are computed at α = 1 whatever alpha is
-    "product-energy": Experiment(("grid", "kgrid"), {"alpha": 1.0, "sigma": 1.0},
+    "product-energy": Experiment(("grid", "kgrid"), ("potential",), {"alpha": 1.0, "sigma": 1.0},
                                  _run_product_energy, _check_product_energy),
-    "orbit": Experiment(("grid", "potential"), {}, _run_orbit, _check_orbit),
+    "orbit": Experiment(("grid", "potential"), ("radial_grid", "solver"), {}, _run_orbit,
+                        _check_orbit),
 }
 
 
@@ -254,7 +267,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    flags = {k: getattr(args, k) for k in ("output_dir", "strict", "seed")}
+    flags = {k: getattr(args, k) for k in ("output_dir", "strict")}
     cfg = _load(args.config, {k: v for k, v in flags.items() if v is not None})
     if cfg is None:
         return 2
@@ -268,7 +281,6 @@ def cmd_run(args) -> int:
         "config": cfg.raw,
         "config_hash": cfg.config_hash(),
         "experiment": cfg.experiment,
-        "rng_seed": cfg.rng_seed,
         "strict": cfg.strict,
         "wall_time_s": wall,
         "versions": {
@@ -298,7 +310,6 @@ def main(argv=None) -> int:
     # each flag given overrides the config field named by its dest
     p_run.add_argument("--out", dest="output_dir", help="output directory")
     p_run.add_argument("--strict", action="store_const", const=True, help="fail on non-convergence")
-    p_run.add_argument("--seed", type=int, help="RNG seed")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config and report derived quantities")

@@ -1,7 +1,7 @@
 """Experiment configuration: one JSON file drives validation, hashing, runs.
 
-Schema (a section is optional unless the experiment's entry in ``pekar.cli.EXPERIMENTS``
-needs it; that entry also declares the params; any other key, at any level, is an error):
+Schema, every key shown (the experiment's entry in ``pekar.cli.EXPERIMENTS`` declares the
+sections it needs and those it reads, and its params; any other section or key is an error):
 
     {
       "grid":        {"n": 128, "L": 48.0},
@@ -13,7 +13,6 @@ needs it; that entry also declares the params; any other key, at any level, is a
                       "seed": {"kind": "translated_q", "R": 8.0}},
       "experiment":  {"name": "sweep-R", "params": {"R_list": [6, 8, 10]}},
       "output_dir":  "out",
-      "seed": 12345,
       "strict": false
     }
 """
@@ -29,6 +28,9 @@ from .fields import Grid3D, RadialGrid, finite_real
 from .ansatz import KGrid
 from .minimize import SeedSpec, SolveOptions
 from .potentials import PotentialSpec, check_in_box
+
+
+SECTIONS = ("grid", "radial_grid", "kgrid", "potential", "solver")
 
 
 class ConfigError(ValueError):
@@ -55,10 +57,10 @@ def number(path: str, value) -> float:
     return parsed(path, finite_real, "value", value)
 
 
-def integer(path: str, value, minimum: int = 1) -> int:
-    """A JSON integer (not a bool) no smaller than ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(path, f"must be an integer >= {minimum}, got {value!r}")
+def integer(path: str, value) -> int:
+    """A positive JSON integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -78,9 +80,14 @@ def _only(path: str, obj: dict, allowed) -> None:
 
 def spec(path: str, cls, value, **defaults):
     """cls(**defaults, **value) for a JSON object ``value`` whose keys are all
-    fields of the dataclass ``cls``; errors name ``path`` or the key's path."""
+    fields of the dataclass ``cls``, or, when ``cls.KINDS`` has its kind,
+    ``kind`` and the fields that kind reads; errors name ``path`` or the key's path."""
     obj = _object(path, value)
-    _only(f"{path}.", obj, {f.name for f in dc_fields(cls)})
+    kind = obj.get("kind", getattr(cls, "kind", None))
+    if isinstance(kind, str) and kind in getattr(cls, "KINDS", {}):
+        _only(f"{path}.", obj, ("kind", *cls.KINDS[kind]))
+    else:  # no kinds, or an unknown kind, which the constructor names
+        _only(f"{path}.", obj, {f.name for f in dc_fields(cls)})
     return parsed(path, lambda: cls(**{**defaults, **obj}))
 
 
@@ -108,7 +115,6 @@ class ExperimentConfig:
     potential: Optional[PotentialSpec] = None
     solver: SolveOptions = dc_field(default_factory=SolveOptions)
     output_dir: str = "out"
-    rng_seed: int = 0
     strict: bool = False
     raw: dict = dc_field(default_factory=dict)
 
@@ -119,8 +125,7 @@ class ExperimentConfig:
         from .cli import EXPERIMENTS  # the registry sits next to its runners
 
         raw, data = _object("config", data), {**data, **(overrides or {})}
-        _only("", data, ("experiment", "grid", "radial_grid", "kgrid", "potential", "solver",
-                         "output_dir", "seed", "strict"))
+        _only("", data, ("experiment", *SECTIONS, "output_dir", "strict"))
         if "experiment" not in data:
             raise ConfigError("config.experiment", "missing required field")
         exp = data["experiment"]
@@ -141,7 +146,6 @@ class ExperimentConfig:
         kgrid = _section(data, "kgrid", {"n_k": integer, "k_max": number}, KGrid)
         pot = spec("potential", PotentialSpec, data["potential"]) if "potential" in data else None
 
-        rng_seed = integer("seed", data.get("seed", 0), 0)
         output_dir = data.get("output_dir", "out")
         if not isinstance(output_dir, str) or not output_dir:
             raise ConfigError("output_dir", f"must be a non-empty string, got {output_dir!r}")
@@ -149,7 +153,7 @@ class ExperimentConfig:
         if not isinstance(strict, bool):
             raise ConfigError("strict", f"must be true or false, got {strict!r}")
         solver_data = dict(_object("solver", data.get("solver", {})))
-        seed_spec = spec("solver.seed", SeedSpec, solver_data.pop("seed", {}), rng_seed=rng_seed)
+        seed_spec = spec("solver.seed", SeedSpec, solver_data.pop("seed", {}))
         solver = spec("solver", SolveOptions, solver_data, seed=seed_spec)
 
         cfg = cls(
@@ -161,7 +165,6 @@ class ExperimentConfig:
             potential=pot,
             solver=solver,
             output_dir=output_dir,
-            rng_seed=rng_seed,
             strict=strict,
             raw=raw,
         )
@@ -172,6 +175,9 @@ class ExperimentConfig:
             parsed("potential.R", check_in_box, pot.R, grid)
         if entry.check is not None:
             entry.check(cfg)
+        for section in SECTIONS:
+            if section in data and section not in entry.sections + entry.optional:
+                raise ConfigError(section, f"experiment {name!r} does not read the {section} section")
         return cfg
 
     @classmethod
@@ -218,5 +224,5 @@ class ExperimentConfig:
             "tolerance_residual": self.solver.tolerance_residual,
             "seed_kind": self.solver.seed.kind,
         }
-        rep.update(rng_seed=self.rng_seed, strict=self.strict)
+        rep["strict"] = self.strict
         return rep

@@ -49,7 +49,6 @@ from .fields import (
     integer_index,
     normalize,
 )
-from .spectral import ops_for
 
 DEFAULT_RADIAL_GRID = RadialGrid(4096, 24.0)
 FREE_SEED_SIGMA = 2.66  # near-optimal Gaussian width for the free problem
@@ -65,30 +64,27 @@ MAX_BACKTRACKS = 60  # rejected trials before the solve stops unconverged
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Initial iterate recipe.
+    """Initial iterate recipe; ``KINDS`` maps each kind to the fields it reads.
 
-    kinds: radial_gaussian | translated_q | random_perturbed; pass any
-    other start as ``seed_field=`` to the solver
+    Pass any other start as ``seed_field=`` to the solver.
     """
 
     kind: str = "radial_gaussian"
     sigma: float = FREE_SEED_SIGMA
     R: Optional[float] = None  # translated_q: plateau radius fixing ζ = (R+2)/2
     direction: tuple = (1.0, 0.0, 0.0)
-    amplitude: float = 0.05  # random_perturbed: relative noise level
-    rng_seed: int = 0
+
+    KINDS = {"radial_gaussian": ("sigma",), "translated_q": ("R", "direction")}
 
     def __post_init__(self):
-        if self.kind not in ("radial_gaussian", "translated_q", "random_perturbed"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown seed kind {self.kind!r}")
         if self.kind == "translated_q" and self.R is None:
             raise ValueError("translated_q seed needs R")
-        for name in ("sigma", "amplitude") + (("R",) if self.R is not None else ()):
+        for name in ("sigma",) + (("R",) if self.R is not None else ()):
             finite_real(name, getattr(self, name))
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3,) or not np.all(np.isfinite(d)) or not d.any():
             raise ValueError(f"direction must be 3 finite numbers, not all 0; got {self.direction}")
@@ -176,24 +172,11 @@ def translate_seed(
     return out
 
 
-def random_perturbed_seed(
-    grid: Grid3D, sigma: float, amplitude: float, rng_seed: int
-) -> Field3D:
-    base = radial_gaussian_seed(grid, sigma)
-    rng = np.random.default_rng(rng_seed)
-    noise = rng.standard_normal(grid.shape)
-    smooth = ops_for(grid).precondition(noise, 1.0)
-    smooth *= amplitude / max(float(np.sqrt(np.mean(smooth**2))), 1e-300)
-    return normalize(Field3D(grid, base.values * (1.0 + smooth)))
-
-
 def build_seed(spec: SeedSpec, grid: Grid3D, rgrid: Optional[RadialGrid] = None) -> Field3D:
     """The seed ``spec`` describes on ``grid``; a translated Q is solved on
     ``rgrid`` (the default radial grid if None)."""
     if spec.kind == "translated_q":
         return translate_seed(solve_free(rgrid).psi, spec.R, grid, spec.direction)
-    if spec.kind == "random_perturbed":
-        return random_perturbed_seed(grid, spec.sigma, spec.amplitude, spec.rng_seed)
     return radial_gaussian_seed(grid, spec.sigma)
 
 
@@ -203,13 +186,6 @@ def build_radial_seed(spec: SeedSpec, rgrid: RadialGrid) -> RadialField:
         # radial problem cannot hold an off-center lump; use a shell at ζ instead
         zeta = (spec.R + 2.0) / 2.0
         return normalize(RadialField(rgrid, np.exp(-((r - zeta) ** 2))))
-    if spec.kind == "random_perturbed":
-        rng = np.random.default_rng(spec.rng_seed)
-        base = np.exp(-(r**2) / (4 * spec.sigma**2))
-        modes = np.zeros(rgrid.m)
-        for j in range(1, 6):
-            modes += rng.standard_normal() / j * np.cos(j * np.pi * r / rgrid.r_max)
-        return normalize(RadialField(rgrid, base * (1.0 + spec.amplitude * modes)))
     return normalize(RadialField(rgrid, np.exp(-(r**2) / (4 * spec.sigma**2))))
 
 

@@ -62,7 +62,7 @@ def annular_profile(r: np.ndarray, R: float, lam: float = 1.0) -> np.ndarray:
 class PotentialSpec:
     """Declarative potential used by configs and experiment drivers.
 
-    kinds:
+    kinds (``KINDS`` maps each to the fields it reads):
       annular          — the well above (parameters R, lam)
       constant         — V ≡ value
       radial_bump      — amplitude · bump((r - center)/width), compact support
@@ -78,11 +78,16 @@ class PotentialSpec:
     width: float = 1.0
     amplitude: float = 1.0
 
-    _RADIAL_KINDS = ("annular", "constant", "radial_bump", "radial_gaussian")
-    _KINDS = _RADIAL_KINDS + ("x1_squared",)
+    KINDS = {
+        "annular": ("R", "lam"),
+        "constant": ("value",),
+        "radial_bump": ("amplitude", "center", "width"),
+        "radial_gaussian": ("amplitude", "center", "width"),
+        "x1_squared": (),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         for name in ("R", "lam", "value", "center", "width", "amplitude"):
             finite_real(name, getattr(self, name))
@@ -96,7 +101,7 @@ class PotentialSpec:
 
     @property
     def is_radial(self) -> bool:
-        return self.kind in self._RADIAL_KINDS
+        return self.kind != "x1_squared"
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Radial profile V(r); only for radial kinds."""

@@ -25,7 +25,6 @@ def solve_free_cfg(out):
         "solver": {"max_iters": 200, "tolerance_residual": 1e-6},
         "experiment": {"name": "solve-free"},
         "output_dir": out,
-        "seed": 3,
     }
 
 
@@ -40,7 +39,6 @@ def solve_full_cfg(out):
         },
         "experiment": {"name": "solve-full"},
         "output_dir": out,
-        "seed": 3,
     }
 
 
@@ -56,7 +54,6 @@ def sweep_cfg(out):
         "solver": {"max_iters": 300, "tolerance_residual": 5e-5},
         "experiment": {"name": "sweep-R", "params": {"R_list": [4.0]}},
         "output_dir": out,
-        "seed": 5,
     }
 
 
@@ -121,6 +118,17 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("make_cfg", [solve_full_cfg, perturb_cfg])
+    def test_seed_translated_out_of_the_box_exits_2(self, tmp_path, capsys, make_cfg):
+        # Q translated by (R+2)/2 = 11 in a box of L/2 = 10 used to pass validate and raise in run
+        data = make_cfg(str(tmp_path / "out"))
+        data["solver"]["seed"]["R"] = 20.0
+        cfg = write_cfg(tmp_path, data)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg]) == 2
+            assert "invalid: solver.seed.R: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "edit, path",
         [
@@ -131,14 +139,6 @@ class TestValidate:
             # numeric fields that are not numbers used to pass validate and fail in run
             (lambda d: d.update(potential={"kind": "constant", "value": "x"}), "potential: value"),
             (lambda d: d["experiment"]["params"]["z"].update(value="x"), "params.z: value"),
-            (
-                lambda d: d["solver"].update(seed={"kind": "random_perturbed", "amplitude": "big"}),
-                "solver.seed: amplitude",
-            ),
-            (
-                lambda d: d["solver"].update(seed={"kind": "random_perturbed", "rng_seed": "x"}),
-                "solver.seed: rng_seed",
-            ),
             # a seed width <= 0 used to pass validate and fail in run (or run as |sigma|)
             (
                 lambda d: d["solver"].update(seed={"kind": "radial_gaussian", "sigma": 0}),
@@ -197,7 +197,9 @@ class TestReadme:
         rows = [[c.strip() for c in line.strip("|").split("|")] for line in table.splitlines()]
         assert [name for name, _, _ in rows] == list(EXPERIMENTS)
         for name, needs, params in rows:
-            assert tuple(re.findall(r"`(\w+)`", needs.split(";")[0])) == EXPERIMENTS[name].sections
+            required, _, optional = needs.partition(";")
+            assert tuple(re.findall(r"`(\w+)`", required)) == EXPERIMENTS[name].sections
+            assert tuple(re.findall(r"`(\w+)`", optional)) == EXPERIMENTS[name].optional
             assert re.findall(r"`([A-Za-z_]\w*)`", params) == list(EXPERIMENTS[name].params)
 
     def test_run_synopsis_matches_the_parser(self, capsys):
@@ -221,7 +223,6 @@ class TestRunSolveFree:
         assert free["strauss_margin"] >= 0.0
         manifest = assert_manifest_lists_the_files(out)
         assert manifest["config_hash"]
-        assert manifest["rng_seed"] == 3
         assert (out / "q.csv").exists()
 
     def test_determinism_bit_identical_outputs(self, tmp_path):
@@ -269,27 +270,15 @@ class TestRunSolveFull:
         cfg = write_cfg(tmp_path, data)
         assert main(["run", "--config", cfg, "--strict"]) == 3
 
-    def test_seed_override_reaches_the_solver_seed(self, tmp_path):
-        data = solve_full_cfg(str(tmp_path / "ignored"))
-        data["solver"] = {"max_iters": 3, "seed": {"kind": "random_perturbed", "amplitude": 0.3}}
-        cfg = write_cfg(tmp_path, data)
-        outs = [tmp_path / f"seed{s}" for s in (1, 2)]
-        for s, out in zip((1, 2), outs):
-            assert main(["run", "--config", cfg, "--out", str(out), "--seed", str(s)]) == 0
-        psi1, psi2 = ((out / "psi.field").read_bytes() for out in outs)
-        assert psi1 != psi2
-        m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in outs)
-        assert (m1["rng_seed"], m2["rng_seed"]) == (1, 2)
-        # the manifest keeps the file's config and hash
-        assert m1["config"] == m2["config"] == data
-        assert m1["config_hash"] == m2["config_hash"]
-
     def test_out_override(self, tmp_path):
         other = tmp_path / "elsewhere"
-        cfg = write_cfg(tmp_path, solve_full_cfg(str(tmp_path / "ignored")))
-        assert main(["run", "--config", cfg, "--out", str(other)]) == 0
+        data = solve_full_cfg(str(tmp_path / "ignored"))
+        assert main(["run", "--config", write_cfg(tmp_path, data), "--out", str(other)]) == 0
         assert (other / "full.json").exists()
-        assert_manifest_lists_the_files(other)
+        manifest = assert_manifest_lists_the_files(other)
+        # the manifest keeps the file's config and hash
+        assert manifest["config"] == data
+        assert manifest["config_hash"] == ExperimentConfig.from_dict(data).config_hash()
 
 
 class TestRunSweep:
@@ -368,7 +357,7 @@ class TestRunOrbit:
         assert energies[0] != pytest.approx(energies[1], rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("seed", [{"kind": "translated_q", "R": 4.0},
-                                      {"kind": "random_perturbed", "amplitude": 0.3}])
+                                      {"kind": "radial_gaussian", "sigma": 2.0}])
     def test_solver_seed_rejected(self, tmp_path, capsys, seed):
         # the orbit seeds each solve with a translate of Q; a solver seed was never read
         data = orbit_cfg(str(tmp_path / "out"))
@@ -409,7 +398,8 @@ class TestRunProductEnergy:
 
 
 class TestFlagsAreConfigFields:
-    @pytest.mark.parametrize("key", ["workers", "seeed"])
+    # no config field and no flag has any of these names
+    @pytest.mark.parametrize("key", ["workers", "seeed", "seed"])
     def test_unknown_field_exits_2(self, tmp_path, capsys, key):
         data = solve_full_cfg(str(tmp_path / "out"))
         cfg = write_cfg(tmp_path, {**data, key: 1})
@@ -443,8 +433,8 @@ EDITS = {
     ("grid", "n"): [16, 31, "32"],
     ("potential", "R"): [4.0, 1.5, 12.0, "4"],
 }
-FLAGS = {"--out": ["dir", ""], "--seed": [0, 5, -1], "--strict": [True]}
-FIELDS = {"--out": "output_dir", "--seed": "seed", "--strict": "strict"}
+FLAGS = {"--out": ["dir", ""], "--strict": [True]}
+FIELDS = {"--out": "output_dir", "--strict": "strict"}
 
 
 def _stub_run(cfg):

@@ -9,18 +9,21 @@ from pekar.fields import Grid3D
 from pekar.spectral import SpectralOps
 
 
-def make(**over):
-    base = {
-        "grid": {"n": 32, "L": 20.0},
-        "radial_grid": {"m": 512, "r_max": 18.0},
-        "kgrid": {"n_k": 8, "k_max": 2.0},
-        "potential": {"kind": "annular", "R": 4.0},
-        "solver": {"max_iters": 50, "seed": {"kind": "translated_q", "R": 4.0}},
-        "experiment": {"name": "solve-full"},
-        "output_dir": "out",
-        "seed": 7,
-    }
-    base.update(over)
+SECTIONS = {
+    "grid": {"n": 32, "L": 20.0},
+    "radial_grid": {"m": 512, "r_max": 18.0},
+    "kgrid": {"n_k": 8, "k_max": 2.0},
+    "potential": {"kind": "annular", "R": 4.0},
+    "solver": {"max_iters": 50, "seed": {"kind": "translated_q", "R": 4.0}},
+}
+
+
+def make(name="solve-full", **over):
+    """A config of experiment ``name`` with every section it reads, each of
+    ``over`` in place of the top-level key of that name."""
+    entry = EXPERIMENTS[name]
+    base = {k: v for k, v in SECTIONS.items() if k in entry.sections + entry.optional}
+    base.update({"experiment": {"name": name}, "output_dir": "out", **over})
     return base
 
 
@@ -68,7 +71,7 @@ class TestValidation:
             )
 
     def test_missing_section_for_experiment(self):
-        data = make(experiment={"name": "product-energy"})
+        data = make("product-energy")
         del data["kgrid"]
         with pytest.raises(ConfigError, match="kgrid"):
             ExperimentConfig.from_dict(data)
@@ -98,6 +101,15 @@ class TestValidation:
             ({"solver": {"seed": {"kind": "translated_q", "R": 4.0, "foo": 1}}}, "solver.seed.foo"),
             ({"experiment": {"name": "perturb", "params": {"z": {"kind": "constant", "foo": 1}}}},
              "experiment.params.z.foo"),
+            # a field that the spec's kind does not read
+            ({"potential": {"kind": "constant", "value": 1.0, "R": 4.0, "width": 3.0}},
+             "potential.R"),
+            ({"solver": {"seed": {"kind": "radial_gaussian", "R": 4.0, "direction": [0, 1, 0]}}},
+             "solver.seed.R"),
+            ({"solver": {"seed": {"kind": "translated_q", "R": 4.0, "sigma": 2.0}}},
+             "solver.seed.sigma"),
+            ({"experiment": {"name": "perturb", "params": {"z": {"kind": "x1_squared", "value": 1}}}},
+             "experiment.params.z.value"),
         ],
     )
     def test_unknown_key_rejected(self, over, path):
@@ -105,8 +117,24 @@ class TestValidation:
             ExperimentConfig.from_dict(make(**over))
 
     def test_declared_defaults_filled_in(self):
-        cfg = ExperimentConfig.from_dict(make(experiment={"name": "product-energy"}))
+        cfg = ExperimentConfig.from_dict(make("product-energy"))
         assert cfg.params == {"alpha": 1.0, "sigma": 1.0}
+
+    @pytest.mark.parametrize(
+        "name, section",
+        [
+            ("solve-free", "kgrid"),
+            ("solve-free", "potential"),
+            ("product-energy", "solver"),
+            ("sweep-R", "potential"),  # the sweep builds its own well for each R
+            ("solve-full", "kgrid"),
+        ],
+    )
+    def test_section_the_experiment_does_not_read_rejected(self, name, section):
+        experiment = {"name": name, "params": REQUIRED_PARAMS.get(name, {})}
+        data = make(name, experiment=experiment, **{section: SECTIONS[section]})
+        with pytest.raises(ConfigError, match=f"^{section}: experiment '{name}' does not read"):
+            ExperimentConfig.from_dict(data)
 
 
 # the params each experiment needs before any other param can be varied
@@ -119,14 +147,14 @@ JSON_VALUES = st.recursive(
 )
 
 # (experiment, key): every declared param of every experiment, then the
-# top-level seed and solver, and workers, a key that no config takes
+# solver, and workers and seed, keys that no config takes
 SLOTS = [(name, p) for name, e in EXPERIMENTS.items() for p in e.params]
 SLOTS += [("solve-full", "workers"), ("solve-full", "seed"), ("solve-full", "solver")]
 
 
 def placed(name: str, key: str, value) -> dict:
     params = dict(REQUIRED_PARAMS.get(name, {}))
-    data = make(experiment={"name": name, "params": params})
+    data = make(name, experiment={"name": name, "params": params})
     if name == "orbit":  # the orbit takes no solver.seed
         data["solver"] = {"max_iters": 50}
     if key in ("workers", "seed", "solver"):
@@ -171,8 +199,8 @@ class TestDerivedReport:
         assert rep["grid"]["dx"] == pytest.approx(20.0 / 32)
         assert rep["grid"]["memory_estimate_bytes"] > 0
         assert rep["radial_grid"]["dr"] == pytest.approx(18.0 / 511)
-        assert rep["kgrid"]["dk"] == pytest.approx(0.5)
         assert rep["potential"]["support_margin"] == pytest.approx(5.0)
+        assert "rng_seed" not in rep
 
     def test_memory_estimate_counts_the_spectral_arrays(self):
         ops = SpectralOps(Grid3D(16, 8.0))
@@ -180,6 +208,7 @@ class TestDerivedReport:
             {"grid": {"n": 16, "L": 8.0}, "kgrid": {"n_k": 8, "k_max": 2.0},
              "experiment": {"name": "product-energy"}}
         )
+        assert cfg.derived_report()["kgrid"]["dk"] == pytest.approx(0.5)
         npad = ops.npad
         kept = ops.k2.nbytes + ops.wk.nbytes + ops.boundary_mask.nbytes
         spectrum = 16 * npad**2 * (npad // 2 + 1)  # one complex padded half-spectrum
@@ -194,5 +223,5 @@ class TestDerivedReport:
 
     def test_hash_changes_with_content(self):
         a = ExperimentConfig.from_dict(make())
-        b = ExperimentConfig.from_dict(make(seed=8))
+        b = ExperimentConfig.from_dict(make(output_dir="elsewhere"))
         assert a.config_hash() != b.config_hash()

@@ -176,9 +176,10 @@ def _numbers(path: str, values) -> list:
 
 
 def _check_seed_in_box(cfg: ExperimentConfig) -> None:
-    """A translated_q seed translates Q by (R+2)/2: R must meet the well's box rule."""
+    """A translated_q seed must keep Q inside the box along its direction:
+    build it as the run does."""
     if cfg.solver.seed.kind == "translated_q":
-        parsed("solver.seed.R", check_in_box, cfg.solver.seed.R, cfg.grid)
+        parsed("solver.seed.R", build_seed, cfg.solver.seed, cfg.grid, cfg.radial_grid)
 
 
 def _check_radial(cfg: ExperimentConfig) -> None:

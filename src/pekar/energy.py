@@ -7,9 +7,19 @@ the self-generated attractive potential,
 
     (-Δ - 2Φ_ρ - V) ψ = μ ψ,   Φ_ρ = ρ * 1/|x|,   ρ = ψ²,
 
-with μ the Rayleigh quotient ⟨ψ, H_ψ ψ⟩.  The solver's box functional
-computes Φ_ρ with every energy and takes D = ⟨ρ, Φ_ρ⟩, the padded kernel's
-Σ ŵ|ρ̂|² by Parseval, so the energy–gradient pair is exactly consistent.
+with μ the Rayleigh quotient ⟨ψ, H_ψ ψ⟩.
+
+The descent loop reads both discrete functionals, ``BoxFunctional`` and
+``RadialFunctional``, through one contract:
+
+- ``inner(a, b)``: the L² inner product of the discretization;
+- ``pairing(g, d)``: the energy's derivative along d, for the gradient g
+  that ``residual`` returns;
+- ``evaluate(values) → (breakdown, fields)``: the fields hold the Coulomb
+  potential Φ_ρ, and D = ⟨ρ, Φ_ρ⟩, so the energy–gradient pair is exactly
+  consistent (the box's fields also hold ψ̂);
+- ``residual(values, bd, fields) → (ELResidual, gradient)``: reads the
+  fields of the same evaluation, so it computes no Coulomb potential.
 """
 
 from __future__ import annotations
@@ -19,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field3D, Grid3D, RadialField, RadialGrid
-from .radial import (
-    apply_kinetic_form,
-    kinetic_form_coefficients,
-    radial_coulomb,
-    radial_coulomb_potential,
-)
+from .radial import apply_kinetic_form, kinetic_form_coefficients, radial_coulomb_potential
 from .spectral import ops_for
 
 
@@ -115,7 +120,8 @@ class BoxFunctional:
 
 
 class RadialFunctional:
-    """E_V on the radial grid: kinetic quadratic form, Newton-theorem Coulomb."""
+    """E_V on the radial grid: kinetic quadratic form, Newton-theorem Coulomb;
+    ``evaluate`` hands out Φ from one prefix-sum pass, with D = ⟨ρ, Φ⟩_M."""
 
     def __init__(self, rgrid: RadialGrid, Vr: RadialField | None = None):
         if Vr is not None and Vr.grid != rgrid:
@@ -136,23 +142,20 @@ class RadialFunctional:
         # T = Σ c_j (Δu)²; c_seg already carries the dr weight
         T = float(np.sum(self.c_seg * np.diff(values) ** 2))
         rho = values**2
-        D = radial_coulomb(RadialField(self.grid, rho))
-        P = self.inner(self.V, rho)
-        return EnergyBreakdown(T, D, P), None
+        phi = radial_coulomb_potential(RadialField(self.grid, rho))
+        return EnergyBreakdown(T, self.inner(rho, phi), self.inner(self.V, rho)), phi
 
-    def residual(self, values: np.ndarray, bd: EnergyBreakdown, fields=None) -> tuple:
+    def residual(self, values: np.ndarray, bd: EnergyBreakdown, phi: np.ndarray) -> tuple:
         """(H u)_j in the weighted metric, with the origin node (zero measure)
         set to 0; the gradient is the nodal one, M·2(H - μ)u, whose origin row
-        couples through the kinetic form only.  There are no ``fields``."""
+        couples through the kinetic form only."""
         M = self.M
-        rho = values**2
-        phi = radial_coulomb_potential(RadialField(self.grid, rho))
         Ku = apply_kinetic_form(values, self.c_seg)
         h = np.zeros(self.grid.m)
         h[1:] = Ku[1:] / M[1:] - 2 * phi[1:] * values[1:] - self.V[1:] * values[1:]
         # μ by the energy pairing: the origin node carries kinetic coupling but no
         # metric weight, so Σ M u (Hu) alone would drop its contribution
-        mu = bd.kinetic - 2 * float(np.sum(M * phi * rho)) - bd.potential
+        mu = bd.kinetic - 2 * bd.coulomb - bd.potential
         res = h - mu * values
         res[0] = 0.0
         g = M * 2 * res

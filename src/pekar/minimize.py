@@ -5,15 +5,15 @@ functionals of ``pekar.energy``.  The gradient is smoothed by the Sobolev
 preconditioner (c - 2Δ)⁻¹ (spectral in the box, banded solve on the radial
 grid) and projected to the sphere tangent; Polak–Ribière+ adds the previous
 direction, moved to the new tangent space by projection, and the loop
-restarts from the preconditioned gradient whenever that sum would not
-descend (Antoine, Levitt & Tang, J. Comput. Phys. 343, 2017).  A step is
-taken only on Armijo sufficient decrease, each rejected trial backtracking
-to the safeguarded minimizer of the parabola through E(0), E'(0) and the
-trial (Nocedal & Wright §3.5), so the energy history is non-increasing by
-construction.  Plain L² descent needs step sizes ~1/k_max² and ~1e4-1e5
-iterations at working resolutions; the preconditioner removes that
-stiffness, and the CG directions take about 2.5x fewer steps than
-preconditioned steepest descent.
+restarts from the preconditioned gradient whenever that sum would descend
+less than ``RESTART_C`` times as steeply (Antoine, Levitt & Tang, J. Comput.
+Phys. 343, 2017).  A step is taken only on Armijo sufficient decrease, each
+rejected trial backtracking to the safeguarded minimizer of the parabola
+through E(0), E'(0) and the trial (Nocedal & Wright §3.5), so the energy
+history is non-increasing by construction.  Plain L² descent needs step
+sizes ~1/k_max² and ~1e4-1e5 iterations at working resolutions; the
+preconditioner removes that stiffness, and the CG directions take about
+2.5x fewer steps than preconditioned steepest descent.
 
 In the box each trial costs one padded forward and inverse, Φ_ρ, computed
 in the functional's own padded scratch, with D = ⟨ρ, Φ_ρ⟩; the residual of
@@ -59,6 +59,9 @@ STEP_INIT, STEP_MAX = 1.0, 8.0  # the first and the largest trial step
 STEP_GROW = 1.4  # next first trial, relative to the last accepted step
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 SAFEGUARD = (0.1, 0.5)  # bounds of a backtracked step, relative to the rejected one
+# restart when the CG slope is below this share of the preconditioned gradient's:
+# along a direction nearly orthogonal to the gradient no trial passes Armijo
+RESTART_C = 1e-2
 MAX_BACKTRACKS = 60  # rejected trials before the solve stops unconverged
 
 
@@ -262,7 +265,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
             beta = max(0.0, (gz - F.pairing(g, z_prev)) / gz_prev)
             p = z + beta * (p - F.inner(p, psi) * psi)
             slope = F.pairing(g, p)
-        if slope <= 0.0:  # first step, or not a descent direction: restart
+        if slope <= RESTART_C * gz:  # first step, or not a sufficient descent: restart
             p, slope = z, gz
         z_prev, gz_prev = z, gz
 

@@ -15,33 +15,15 @@ import numpy as np
 from .fields import RadialField, RadialGrid
 
 
-def _charges(rho: RadialField) -> tuple:
-    """a_j = w_j ρ_j r_j², the per-node charge weights (a_0 = 0 since r_0 = 0)."""
-    g = rho.grid
-    r = g.nodes()
-    a = g.weights() * rho.values * r * r
-    return r, a
-
-
-def radial_coulomb(rho: RadialField) -> float:
-    """(4π)² Σ_ij a_i a_j / max(r_i, r_j), identical to the full double sum."""
-    if rho.values.min() < -1e-12:
-        raise ValueError(f"radial density has negative entries (min {rho.values.min():.3e})")
-    r, a = _charges(rho)
-    cum_prev = np.cumsum(a) - a
-    with np.errstate(divide="ignore"):
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-    val = np.sum(a[1:] * inv_r[1:] * (2 * cum_prev[1:] + a[1:]))
-    return float((4 * np.pi) ** 2 * val)
-
-
 def radial_coulomb_potential(rho: RadialField) -> np.ndarray:
-    """Φ(r_j) = 4π Σ_i w_i ρ_i r_i² / max(r_i, r_j), consistent with radial_coulomb.
+    """Φ(r_j) = 4π Σ_i w_i ρ_i r_i² / max(r_i, r_j) by prefix sums.
 
-    The quadratic form D = Σ K_ij ρ_i ρ_j has ∂D/∂ρ_j = 2·(4π w_j r_j²)·Φ_j.
+    D = Σ K_ij ρ_i ρ_j = Σ_j M_j ρ_j Φ_j with M the volume weights, so
+    ∂D/∂ρ_j = 2 M_j Φ_j.
     """
     g = rho.grid
-    r, a = _charges(rho)
+    r = g.nodes()
+    a = g.weights() * rho.values * r * r  # a_0 = 0 since r_0 = 0
     inside = np.cumsum(a)  # Σ_{i<=j} a_i
     with np.errstate(divide="ignore"):
         a_over_r = np.where(r > 0, a / np.where(r > 0, r, 1.0), 0.0)
@@ -50,6 +32,13 @@ def radial_coulomb_potential(rho: RadialField) -> np.ndarray:
     phi[1:] = 4 * np.pi * (inside[1:] / r[1:] + outside[1:])
     phi[0] = 4 * np.pi * outside[0]
     return phi
+
+
+def radial_coulomb(rho: RadialField) -> float:
+    """D = Σ M ρ Φ = (4π)² Σ_ij a_i a_j / max(r_i, r_j), a_i = w_i ρ_i r_i²."""
+    if rho.values.min() < -1e-12:
+        raise ValueError(f"radial density has negative entries (min {rho.values.min():.3e})")
+    return float(np.sum(rho.grid.volume_weights() * rho.values * radial_coulomb_potential(rho)))
 
 
 def kinetic_form_coefficients(grid: RadialGrid) -> np.ndarray:

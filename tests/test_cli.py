@@ -120,14 +120,17 @@ class TestValidate:
 
     @pytest.mark.parametrize("make_cfg", [solve_full_cfg, perturb_cfg])
     def test_seed_translated_out_of_the_box_exits_2(self, tmp_path, capsys, make_cfg):
-        # Q translated by (R+2)/2 = 11 in a box of L/2 = 10 used to pass validate and raise in run
-        data = make_cfg(str(tmp_path / "out"))
-        data["solver"]["seed"]["R"] = 20.0
-        cfg = write_cfg(tmp_path, data)
-        for command in ("validate", "run"):
-            assert main([command, "--config", cfg]) == 2
-            assert "invalid: solver.seed.R: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # both seeds used to pass validate and raise in run: Q translated by
+        # (R+2)/2 = 11 in a box of L/2 = 10, and Q translated by 5 along the cube
+        # diagonal, which meets the well's box rule R+1 < L/2 but leaks past the box
+        for seed in ({"R": 20.0}, {"R": 8.0, "direction": [1, 1, 1]}):
+            data = make_cfg(str(tmp_path / "out"))
+            data["solver"]["seed"].update(seed)
+            cfg = write_cfg(tmp_path, data)
+            for command in ("validate", "run"):
+                assert main([command, "--config", cfg]) == 2
+                assert "invalid: solver.seed.R: " in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "edit, path",

@@ -17,6 +17,7 @@ from pekar import (
     radial_el_residual,
     radial_pekar_energy,
 )
+from pekar import energy
 from pekar.energy import check_coercivity
 from pekar.potentials import smooth_bump
 from pekar.spectral import SpectralOps
@@ -58,6 +59,37 @@ class TestBreakdown:
         assert calls == []
         el_residual(psi)
         assert len(calls) == 1
+
+    def test_residual_reads_the_potential_of_evaluate(self, grid32, rgrid2048, monkeypatch):
+        # both functionals compute Φ once per evaluation and hand it to residual
+        radial_calls, padded_calls = [], []
+        potential = energy.radial_coulomb_potential
+        fft_padded = SpectralOps.fft_padded
+
+        def counting_potential(rho):
+            radial_calls.append(rho)
+            return potential(rho)
+
+        def counting_padded(self, values, **kw):
+            padded_calls.append(values)
+            return fft_padded(self, values, **kw)
+
+        monkeypatch.setattr(energy, "radial_coulomb_potential", counting_potential)
+        monkeypatch.setattr(SpectralOps, "fft_padded", counting_padded)
+        u = gaussian_radial(rgrid2048, 1.0).values
+        F = energy.RadialFunctional(rgrid2048)
+        bd, phi = F.evaluate(u)
+        assert len(radial_calls) == 1
+        assert bd.coulomb == float(np.sum(F.M * u**2 * phi))
+        F.residual(u, bd, phi)
+        assert len(radial_calls) == 1
+
+        psi = gaussian_psi(grid32, 1.0).values
+        B = energy.BoxFunctional(grid32)
+        fields = B.evaluate(psi)
+        assert len(padded_calls) == 1
+        B.residual(psi, *fields)
+        assert len(padded_calls) == 1
 
     def test_translation_invariance_of_free_energy(self, grid32):
         psi = gaussian_psi(grid32, 0.8)

@@ -26,7 +26,7 @@ from pekar import (
     translate_seed,
 )
 from pekar.angular import _shell_index
-from pekar.experiments import center_of_mass
+from pekar.experiments import center_of_mass, perturbed_energy
 from pekar.potentials import PotentialSpec
 from pekar.spectral import SpectralOps
 
@@ -374,3 +374,18 @@ class TestSeedOnAnotherGrid:
         Vr = RadialField(rg, np.zeros(rg.m))
         with pytest.raises(ValueError, match="different grids"):
             minimize_radial(Vr, SolveOptions(max_iters=3), seed_field=flat_seed(RadialGrid(256, 10.0)))
+
+
+def test_cg_restarts_off_a_direction_nearly_orthogonal_to_the_gradient():
+    # at this R=8 well and bump the warm solve reaches a step whose
+    # Polak–Ribière+ direction has 1e-3 of the preconditioned gradient's slope;
+    # no trial along it passes Armijo, so without a restart the solve stops as
+    # no_descent at residual 2.6e-5
+    g = Grid3D(32, 40.0)
+    V = PotentialSpec(kind="annular", R=8.0).build(g)
+    opts = SolveOptions(max_iters=2000, tolerance_residual=1e-5)
+    Q = solve_free(RadialGrid(4096, 24.0), SolveOptions(max_iters=2000, tolerance_residual=1e-6))
+    cold = minimize(V, opts, seed_field=translate_seed(Q.psi, 8.0, g, (-1, 0, 0)))
+    Z = PotentialSpec(kind="radial_bump", center=4.875022118531836, width=1.929660562954001)
+    warm = perturbed_energy(V, Z.build(g), 0.04, opts, warm=cold.psi)
+    assert warm.stop == "converged"

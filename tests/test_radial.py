@@ -61,12 +61,16 @@ class TestRadialCoulomb:
         dense = (4 * np.pi) ** 2 * float(a @ (1.0 / rmax) @ a)
         assert radial_coulomb(rho) == pytest.approx(dense, rel=1e-12)
 
-    def test_potential_consistent_with_energy(self, rgrid2048):
-        # D = 4π Σ w r² ρ Φ must reproduce radial_coulomb exactly
-        rho = gaussian_radial(rgrid2048, 1.3).density()
-        phi = radial_coulomb_potential(rho)
-        pair = float(np.sum(rgrid2048.volume_weights() * rho.values * phi))
-        assert pair == pytest.approx(radial_coulomb(rho), rel=1e-12)
+    def test_potential_consistent_with_energy(self):
+        # radial_coulomb is Σ M ρ Φ, so Φ itself is checked against the dense
+        # per-node sum Φ_j = 4π Σ_i w_i ρ_i r_i² / max(r_i, r_j)
+        rg = RadialGrid(256, 10.0)
+        rho = gaussian_radial(rg, 1.3).density()
+        r, w = rg.nodes(), rg.weights()
+        rmax = np.maximum.outer(r, r)
+        rmax[0, 0] = 1.0
+        dense = 4 * np.pi * (w * rho.values * r * r) @ (1.0 / rmax)
+        np.testing.assert_allclose(radial_coulomb_potential(rho), dense, rtol=1e-12, atol=0)
 
     def test_gaussian_potential_matches_erf(self, rgrid2048):
         from scipy.special import erf

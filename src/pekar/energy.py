@@ -10,15 +10,17 @@ the self-generated attractive potential,
 with μ the Rayleigh quotient ⟨ψ, H_ψ ψ⟩.
 
 The descent loop reads both discrete functionals, ``BoxFunctional`` and
-``RadialFunctional``, through one contract:
+``RadialFunctional``, through one contract on each one's coordinates x,
+the rfft half-spectrum ψ̂ in the box and the nodal values on the radial grid:
 
-- ``inner(a, b)``: the L² inner product of the discretization;
+- ``to_coords(values)``, ``to_values(x)``: the maps between ψ and x;
+- ``inner(a, b)``: the L² inner product, of coordinates;
 - ``pairing(g, d)``: the energy's derivative along d, for the gradient g
   that ``residual`` returns;
-- ``evaluate(values) → (breakdown, fields)``: the fields hold the Coulomb
+- ``evaluate(x) → (breakdown, fields)``: the fields hold the Coulomb
   potential Φ_ρ, and D = ⟨ρ, Φ_ρ⟩, so the energy–gradient pair is exactly
-  consistent (the box's fields also hold ψ̂);
-- ``residual(values, bd, fields) → (ELResidual, gradient)``: reads the
+  consistent (the box's fields are (ψ, Φ_ρ));
+- ``residual(x, bd, fields) → (ELResidual, gradient)``: reads the
   fields of the same evaluation, so it computes no Coulomb potential.
 """
 
@@ -70,10 +72,9 @@ class ELResidual:
 class BoxFunctional:
     """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb.
 
-    ``evaluate`` returns the breakdown and (ψ̂, Φ_ρ): one padded forward and
-    inverse in the padded scratch, allocated once per functional; ``residual``
-    reads them and returns ‖(H_ψ - μ)ψ‖ with μ, and the gradient the
-    preconditioner acts on.
+    ``evaluate`` makes one n³ inverse for ψ, reads T from ψ̂, and computes Φ_ρ
+    in the padded scratch, allocated once per functional; ``residual`` makes
+    two n³ forwards, ĥ = |k|²·FFT(ψ) - FFT((2Φ_ρ + V)ψ).
     """
 
     def __init__(self, grid: Grid3D, V: Field3D | None = None):
@@ -84,39 +85,39 @@ class BoxFunctional:
         self.dv = grid.cell_volume
         self.V = None if V is None else V.values
         self._pad = None  # the padded half-spectrum, scratch of evaluate
+        self.to_coords, self.to_values = self.ops.fft, self.ops.ifft
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.vdot(a, b) * self.dv)
+        """Σ dup·Re(â*·b̂)·dv/n³: every kz plane counts twice but kz = 0 and Nyquist."""
+        e = np.s_[..., :: self.grid.n // 2]  # the kz = 0 and Nyquist planes
+        return float((2 * np.vdot(a, b) - np.vdot(a[e], b[e])).real * self.dv / self.grid.n**3)
 
     # the gradient of residual is the L² one, so it pairs with a direction by inner
     pairing = inner
 
-    def evaluate(self, values: np.ndarray) -> tuple:
+    def evaluate(self, x: np.ndarray | None, values: np.ndarray | None = None) -> tuple:
+        """``values``, when given, is ψ itself, and x may then be None."""
         ops = self.ops
-        spec_psi = ops.fft(values)
-        T = ops.kinetic(values, spec=spec_psi)
-        rho = values**2
+        psi = ops.ifft(x) if values is None else values
+        T = ops.kinetic(psi, spec=x)
+        rho = psi**2
         self._pad = ops.fft_padded(rho, out=self._pad)
         phi = ops.coulomb_potential(rho, spec_pad=self._pad)
-        P = 0.0 if self.V is None else self.inner(self.V, rho)
-        return EnergyBreakdown(T, self.inner(rho, phi), P), (spec_psi, phi)
+        P = 0.0 if self.V is None else float(np.vdot(self.V, rho) * self.dv)
+        return EnergyBreakdown(T, float(np.vdot(rho, phi) * self.dv), P), (psi, phi)
 
-    def hamiltonian(self, values: np.ndarray, fields: tuple) -> np.ndarray:
-        """H_ψ ψ = (-Δ - 2Φ_ρ - V) ψ from the (ψ̂, Φ_ρ) of evaluate."""
-        spec_psi, phi = fields
-        h = self.ops.neg_laplacian(values, spec=spec_psi)
-        h -= 2 * phi * values
-        if self.V is not None:
-            h -= self.V * values
-        return h
-
-    def residual(self, values: np.ndarray, bd: EnergyBreakdown, fields: tuple) -> tuple:
-        """μ = ⟨ψ, H_ψ ψ⟩, so bd is not read; the gradient is the L² one,
-        2(H_ψ - μ)ψ."""
-        h = self.hamiltonian(values, fields)
-        mu = self.inner(values, h)
-        res = h - mu * values
-        return ELResidual(float(np.sqrt(self.inner(res, res))), mu), 2 * res
+    def residual(self, x: np.ndarray | None, bd: EnergyBreakdown, fields: tuple) -> tuple:
+        """μ = ⟨ψ, H_ψ ψ⟩, so neither x nor bd is read; the gradient is the
+        L² one, 2(H_ψ - μ)ψ, as a half-spectrum."""
+        psi, phi = fields
+        w = 2 * phi if self.V is None else 2 * phi + self.V
+        w *= psi
+        spec = self.ops.fft(psi)
+        h = self.ops.k2 * spec
+        h -= self.ops.fft(w)
+        mu = self.inner(spec, h)
+        h -= mu * spec
+        return ELResidual(float(np.sqrt(self.inner(h, h))), mu), 2 * h
 
 
 class RadialFunctional:
@@ -130,6 +131,9 @@ class RadialFunctional:
         self.M = rgrid.volume_weights()
         self.c_seg = kinetic_form_coefficients(rgrid)
         self.V = np.zeros(rgrid.m) if Vr is None else Vr.values
+
+    # the nodal values are the coordinates
+    to_coords = to_values = staticmethod(np.asarray)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sum(self.M * a * b))
@@ -173,7 +177,7 @@ def pekar_energy(psi: Field3D, V: Field3D | None = None) -> EnergyBreakdown:
     padded reduction, so no Φ_ρ is computed."""
     F = BoxFunctional(psi.grid, V)
     rho = psi.values**2
-    P = 0.0 if F.V is None else F.inner(F.V, rho)
+    P = 0.0 if F.V is None else float(np.vdot(F.V, rho) * F.dv)
     return EnergyBreakdown(F.ops.kinetic(psi.values), F.ops.coulomb_energy(rho), P)
 
 
@@ -186,14 +190,15 @@ def free_energy(psi: Field3D) -> float:
 def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
     F = BoxFunctional(psi.grid, V)
-    b, fields = F.evaluate(psi.values)
-    return b, Field3D(psi.grid, 2 * F.hamiltonian(psi.values, fields))
+    b, fields = F.evaluate(None, psi.values)
+    el, g = F.residual(None, b, fields)
+    return b, Field3D(psi.grid, F.to_values(g) + 2 * el.mu * psi.values)
 
 
 def el_residual(psi: Field3D, V: Field3D | None = None) -> ELResidual:
     """Residual of the mean-field eigenvalue equation at ψ, with Rayleigh μ."""
     F = BoxFunctional(psi.grid, V)
-    return F.residual(psi.values, *F.evaluate(psi.values))[0]
+    return F.residual(None, *F.evaluate(None, psi.values))[0]
 
 
 def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> EnergyBreakdown:

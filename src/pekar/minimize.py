@@ -1,9 +1,10 @@
 """Constrained minimization on the L² unit sphere, full 3D and radial.
 
 One preconditioned nonlinear conjugate-gradient loop serves both discrete
-functionals of ``pekar.energy``.  The gradient is smoothed by the Sobolev
-preconditioner (c - 2Δ)⁻¹ (spectral in the box, banded solve on the radial
-grid) and projected to the sphere tangent; Polak–Ribière+ adds the previous
+functionals of ``pekar.energy``, in each one's coordinates.  The gradient
+is smoothed by the Sobolev preconditioner (c - 2Δ)⁻¹ (a division by
+c + 2|k|² on the box's half-spectra, a banded solve on the radial grid) and
+projected to the sphere tangent; Polak–Ribière+ adds the previous
 direction, moved to the new tangent space by projection, and the loop
 restarts from the preconditioned gradient whenever that sum would descend
 less than ``RESTART_C`` times as steeply (Antoine, Levitt & Tang, J. Comput.
@@ -15,9 +16,9 @@ sizes ~1/k_max² and ~1e4-1e5 iterations at working resolutions; the
 preconditioner removes that stiffness, and the CG directions take about
 2.5x fewer steps than preconditioned steepest descent.
 
-In the box each trial costs one padded forward and inverse, Φ_ρ, computed
-in the functional's own padded scratch, with D = ⟨ρ, Φ_ρ⟩; the residual of
-the accepted trial reads its Φ_ρ and needs no padded transform.  A solve
+The box loop holds ψ̂.  A trial costs one n³ inverse (ψ, for ρ = ψ²) and
+a padded forward and inverse (Φ_ρ); a step's residual reads that Φ_ρ and
+costs two n³ forwards; a solve adds one forward and one inverse.  A solve
 reports why it stopped: ``converged``, ``max_iters`` or ``no_descent``
 (every one of ``MAX_BACKTRACKS`` trials rejected).
 """
@@ -175,12 +176,15 @@ def translate_seed(
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def build_seed(spec: SeedSpec, grid: Grid3D, rgrid: Optional[RadialGrid] = None) -> Field3D:
     """The seed ``spec`` describes on ``grid``; a translated Q is solved on
-    ``rgrid`` (the default radial grid if None)."""
-    if spec.kind == "translated_q":
-        return translate_seed(solve_free(rgrid).psi, spec.R, grid, spec.direction)
-    return radial_gaussian_seed(grid, spec.sigma)
+    ``rgrid`` (the default radial grid if None).  The last seed is kept,
+    read-only, so a config's check and its run translate Q once."""
+    seed = (translate_seed(solve_free(rgrid).psi, spec.R, grid, spec.direction)
+            if spec.kind == "translated_q" else radial_gaussian_seed(grid, spec.sigma))
+    seed.values.flags.writeable = False
+    return seed
 
 
 def build_radial_seed(spec: SeedSpec, rgrid: RadialGrid) -> RadialField:
@@ -202,42 +206,31 @@ def flat_seed(rgrid: RadialGrid) -> RadialField:
 
 
 def _spectral_direction(F: BoxFunctional, shift: float):
-    """g ↦ the tangent part of (shift - 2Δ)⁻¹ g."""
-
-    def direction(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
-        d = F.ops.precondition(g, shift)
-        d -= F.inner(d, psi) * psi
-        return d
-
-    return direction
+    """ĝ ↦ ĝ/(shift + 2|k|²), the spectral (shift - 2Δ)⁻¹."""
+    denom = shift + 2 * F.ops.k2
+    return lambda g: g / denom
 
 
 def _banded_direction(F: RadialFunctional, shift: float):
-    """g ↦ the tangent part of (shift·M + 2K)⁻¹ g, K the tridiagonal kinetic
-    form and g the nodal gradient."""
+    """g ↦ (shift·M + 2K)⁻¹ g, K the tridiagonal kinetic form and g the nodal gradient."""
     c_seg = F.c_seg
     banded = np.zeros((2, F.grid.m))
     banded[0, :] = shift * F.M + 2 * (np.r_[c_seg, 0.0] + np.r_[0.0, c_seg])
     banded[1, :-1] = -2 * c_seg
-
-    def direction(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
-        d = solveh_banded(banded, g, lower=True)
-        d -= F.inner(d, psi) * psi
-        return d
-
-    return direction
+    return lambda g: solveh_banded(banded, g, lower=True)
 
 
 def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, preconditioner):
     """Monotone preconditioned CG descent of the discrete functional F from a
-    normalized seed; ``preconditioner(F, shift)`` builds the direction map."""
+    normalized seed, in F's coordinates; ``preconditioner(F, shift)`` builds
+    the map g ↦ M⁻¹g, which the loop projects onto the tangent space."""
     if seed.grid != F.grid:
         raise ValueError("seed and potential live on different grids")
-    psi = seed.values
-    bd, fields = F.evaluate(psi)
+    x = F.to_coords(seed.values)
+    bd, fields = F.evaluate(x)
     check_coercivity(bd, "seed evaluation")
     history = [bd.total]
-    norms = [float(np.sqrt(F.inner(psi, psi)))]
+    norms = [float(np.sqrt(F.inner(x, x)))]
     stop = "max_iters"
     step = STEP_INIT
     direction = None
@@ -250,7 +243,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
 
     for it in range(opts.max_iters + 1):
-        el, g = F.residual(psi, bd, fields)
+        el, g = F.residual(x, bd, fields)
         if done():
             stop = "converged"
             break
@@ -258,12 +251,13 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
             break
         if direction is None:  # the shift is fixed by the seed's μ
             direction = preconditioner(F, max(0.25, 2 * abs(el.mu)))
-        z = direction(psi, g)
+        z = direction(g)
+        z -= F.inner(z, x) * x
         gz = F.pairing(g, z)
         slope = 0.0
         if p is not None:  # Polak–Ribière+, p transported by tangent projection
             beta = max(0.0, (gz - F.pairing(g, z_prev)) / gz_prev)
-            p = z + beta * (p - F.inner(p, psi) * psi)
+            p = z + beta * (p - F.inner(p, x) * x)
             slope = F.pairing(g, p)
         if slope <= RESTART_C * gz:  # first step, or not a sufficient descent: restart
             p, slope = z, gz
@@ -271,7 +265,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
 
         s = step
         for _ in range(MAX_BACKTRACKS):
-            cand = psi - s * p
+            cand = x - s * p
             cand /= np.sqrt(F.inner(cand, cand))
             bd_t, fields_t = F.evaluate(cand)
             rise = bd_t.total - bd.total
@@ -285,13 +279,13 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
             break
         check_coercivity(bd_t, f"iteration {it}")
         last_dE = -rise
-        psi, bd, fields = cand, bd_t, fields_t
+        x, bd, fields = cand, bd_t, fields_t
         history.append(bd.total)
-        norms.append(float(np.sqrt(F.inner(psi, psi))))
+        norms.append(float(np.sqrt(F.inner(x, x))))
         step = min(s * STEP_GROW, STEP_MAX)
 
     return MinimizerResult(
-        psi=type(seed)(seed.grid, psi),
+        psi=type(seed)(seed.grid, F.to_values(x)),
         energy=bd,
         residual=el,
         stop=stop,

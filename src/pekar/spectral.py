@@ -23,8 +23,9 @@ The padded transforms never build the (2n)³ array.  The forward writes
 into one npad×npad×(n+1) half-spectrum, new or the caller's scratch, and
 skips the lines known to be zero; it is bit-identical to rfftn of the
 padded array.  The inverse multiplies ŵ into that spectrum and crops after
-each axis pass.  The solver never holds a spectrum: its functional turns
-each one into Φ_ρ at once, with D = ⟨ρ, Φ_ρ⟩ (``pekar.energy``).
+each axis pass.  The solver's functional (``pekar.energy``) turns each one
+into Φ_ρ at once and holds its iterate as the n³ half-spectrum ψ̂.  Grids
+with n < 48 transform on one thread, which is faster there; larger ones on all cores.
 """
 
 from __future__ import annotations
@@ -37,8 +38,12 @@ from scipy import fft as sfft
 
 from .fields import BoundarySupportWarning, Field3D, Grid3D
 
-_WORKERS = -1  # scipy.fft: use all available cores
 _BLOCK = 1 << 15  # spectrum entries per block of a reduction, cache-sized
+
+
+def _workers(n: int) -> int:
+    """scipy.fft workers for the transforms of an n³ box: one below n = 48, else all cores."""
+    return 1 if n < 48 else -1
 
 
 def _half_grid(n: int, dx: float) -> tuple:
@@ -75,10 +80,10 @@ class SpectralOps:
     # -- transforms ---------------------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(values, workers=_WORKERS)
+        return sfft.rfftn(values, workers=_workers(self.grid.n))
 
     def ifft(self, spec: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(spec, s=self.grid.shape, workers=_WORKERS)
+        return sfft.irfftn(spec, s=self.grid.shape, workers=_workers(self.grid.n))
 
     def fft_padded(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """rfftn of ``values`` zero-padded to npad³, written into ``out`` (an
@@ -101,7 +106,7 @@ class SpectralOps:
         for a, axis in ((out[:, :n], 0), (out, 1)):
             # scipy's c2c pass writes into a complex input under overwrite_x,
             # but documents only that the input may be destroyed
-            r = sfft.fft(a, axis=axis, overwrite_x=True, workers=_WORKERS)
+            r = sfft.fft(a, axis=axis, overwrite_x=True, workers=_workers(n))
             if not np.shares_memory(r, a):
                 a[...] = r
         return out
@@ -147,21 +152,17 @@ class SpectralOps:
         # as irfftn does, which keeps the result bit-identical to it
         n, npad = self.grid.n, self.npad
         t = np.multiply(self.wk, spec_pad, out=spec_pad)
-        t = sfft.ifft(t, axis=0, norm="forward", overwrite_x=True, workers=_WORKERS)
-        t = sfft.ifft(t[:n], axis=1, norm="forward", overwrite_x=True, workers=_WORKERS)
-        phi = sfft.irfft(t[:, :n], n=npad, axis=2, norm="forward", workers=_WORKERS)
+        t = sfft.ifft(t, axis=0, norm="forward", overwrite_x=True, workers=_workers(n))
+        t = sfft.ifft(t[:n], axis=1, norm="forward", overwrite_x=True, workers=_workers(n))
+        phi = sfft.irfft(t[:, :n], n=npad, axis=2, norm="forward", workers=_workers(n))
         return phi[:, :, :n] * (1.0 / npad**3)
 
-    def neg_laplacian(self, values: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
-        if spec is None:
-            spec = self.fft(values)
-        return self.ifft(self.k2 * spec)
+    def neg_laplacian(self, values: np.ndarray) -> np.ndarray:
+        return self.ifft(self.k2 * self.fft(values))
 
     def precondition(self, values: np.ndarray, shift: float) -> np.ndarray:
-        """(shift - 2Δ)⁻¹, the Sobolev smoother for descent directions."""
+        """(shift - 2Δ)⁻¹ of a real field; the descent loop divides half-spectra instead."""
         return self.ifft(self.fft(values) / (shift + 2 * self.k2))
-
-    # -- diagnostics ---------------------------------------------------------
 
     def boundary_mass(self, rho: np.ndarray) -> float:
         return float(np.sum(rho[self.boundary_mask]) * self.grid.cell_volume)

@@ -1,5 +1,6 @@
 import json
 import re
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,20 @@ class TestRunSolveFull:
         # the manifest keeps the file's config and hash
         assert manifest["config"] == data
         assert manifest["config_hash"] == ExperimentConfig.from_dict(data).config_hash()
+
+
+    def test_one_translate_per_run(self, tmp_path, monkeypatch):
+        # the seed check and the solve share one translate of Q; a seed R of
+        # its own keeps an earlier run's seed out of the count
+        pm = import_module("pekar.minimize")  # pekar.minimize is also the function
+        calls = []
+        translate = pm.translate_seed
+        monkeypatch.setattr(pm, "translate_seed", lambda *a, **kw: calls.append(a) or translate(*a, **kw))
+        data = solve_full_cfg(str(tmp_path / "out"))
+        data["solver"]["max_iters"] = 0
+        data["solver"]["seed"]["R"] = 4.25
+        assert main(["run", "--config", write_cfg(tmp_path, data)]) == 0
+        assert len(calls) == 1
 
 
 class TestRunSweep:

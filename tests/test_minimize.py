@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from importlib import import_module
 
@@ -26,6 +27,7 @@ from pekar import (
     translate_seed,
 )
 from pekar.angular import _shell_index
+from pekar.energy import BoxFunctional
 from pekar.experiments import center_of_mass, perturbed_energy
 from pekar.potentials import PotentialSpec
 from pekar.spectral import SpectralOps
@@ -232,6 +234,31 @@ def test_box_solve_allocates_one_padded_spectrum(monkeypatch):
     assert res.iterations >= 8
     assert len(fresh) > res.iterations
     assert sum(fresh) <= 1
+
+
+def test_box_solve_transform_counts(monkeypatch):
+    # the loop holds ψ̂: each evaluation (one kinetic term) makes one n³
+    # inverse, for ρ = ψ², and each residual two n³ forwards; the solve adds
+    # one of each, the seed's coordinates and the returned ψ
+    calls = Counter()
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def call(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for name in ("fft", "ifft", "kinetic", "precondition", "neg_laplacian"):
+        counting(SpectralOps, name)
+    counting(BoxFunctional, "residual")
+    res = _box_free()
+    assert res.iterations >= 8
+    assert calls["ifft"] <= calls["kinetic"] + 1
+    assert calls["fft"] <= 2 * calls["residual"] + 1
+    assert calls["precondition"] == calls["neg_laplacian"] == 0
 
 
 class TestStopReason:

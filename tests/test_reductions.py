@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pekar import Field3D, Grid3D, rotational_density_check
+from pekar import Field3D, Grid3D, normalize, rotational_density_check
 from pekar.angular import _shell_index
 from pekar.energy import BoxFunctional
+from pekar.minimize import _spectral_direction
 from pekar.spectral import ops_for
 
 from conftest import smooth_random_psi
@@ -59,7 +60,7 @@ class TestAgainstTheSumForms:
     def test_box_functional_inner(self, pair):
         psi, f = pair
         F = BoxFunctional(psi.grid)
-        assert F.inner(psi.values, f.values) == pytest.approx(
+        assert F.inner(F.to_coords(psi.values), F.to_coords(f.values)) == pytest.approx(
             np.sum(psi.values * f.values) * F.dv, rel=REL
         )
 
@@ -81,8 +82,51 @@ class TestAgainstTheSumForms:
         # the solver's D = ⟨ρ, Φ_ρ⟩·dv equals Σ ŵ|ρ̂|² on the padded grid (Parseval)
         g = Grid3D(n, 20.0)
         psi = smooth_random_psi(g, np.random.default_rng(n)).values
-        bd = BoxFunctional(g).evaluate(psi)[0]
+        F = BoxFunctional(g)
+        bd = F.evaluate(F.to_coords(psi))[0]
         assert bd.coulomb == pytest.approx(ops_for(g).coulomb_energy(psi**2), rel=REL)
+
+
+def _plane_part(a, part):
+    """``a`` itself, or the part of it whose rfft half-spectrum lies on the
+    kz = 0 plane (the z mean) or on the Nyquist plane (the alternating mean)."""
+    if part == "all":
+        return a
+    alt = np.ones(a.shape[2]) if part == "kz0" else (-1.0) ** np.arange(a.shape[2])
+    return alt * np.mean(a * alt, axis=2, keepdims=True)
+
+
+class TestSpectralCoordinates:
+    """The box functional's inner product and direction on half-spectra
+    against their real-space forms; the kz = 0 and Nyquist planes count once."""
+
+    @pytest.mark.parametrize("part", ["all", "kz0", "nyquist"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_inner_product_is_the_real_space_one(self, n, part):
+        g = Grid3D(n, 10.0)
+        F = BoxFunctional(g)
+        rng = np.random.default_rng(n)
+        a = _plane_part(rng.standard_normal(g.shape), part)
+        b = a + 0.5 * _plane_part(rng.standard_normal(g.shape), part)
+        for u, v in ((a, b), (b, b)):
+            ref = float(np.sum(u * v) * F.dv)
+            assert F.inner(F.to_coords(u), F.to_coords(v)) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_direction_is_the_projected_preconditioned_gradient(self, n):
+        g = Grid3D(n, 10.0)
+        F = BoxFunctional(g)
+        rng = np.random.default_rng(n)
+        psi = normalize(Field3D(g, rng.standard_normal(g.shape))).values
+        grad = rng.standard_normal(g.shape)
+        shift = 0.7
+        ref = F.ops.precondition(grad, shift)
+        ref -= float(np.sum(ref * psi) * F.dv) * psi
+        # the map and the projection of the descent loop
+        x = F.to_coords(psi)
+        d = _spectral_direction(F, shift)(F.to_coords(grad))
+        d -= F.inner(d, x) * x
+        assert np.abs(F.to_values(d) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestNoFullSizeTemporary:
@@ -93,6 +137,12 @@ class TestNoFullSizeTemporary:
         full = psi.values.nbytes
         assert _traced_peak(psi.inner, f)[1] < full
         assert _traced_peak(f.norm)[1] < full
+
+    def test_spectral_inner_product(self, pair):
+        psi, f = pair
+        F = BoxFunctional(psi.grid)
+        a, b = F.to_coords(psi.values), F.to_coords(f.values)
+        assert _traced_peak(F.inner, a, b)[1] < psi.values.nbytes
 
     def test_coulomb_energy_of_a_padded_spectrum(self, pair):
         psi, _ = pair

@@ -18,9 +18,10 @@ from pekar import (
     normalize,
     sweep_R,
 )
+from pekar import spectral
 from pekar.spectral import SpectralOps, ops_for
 
-from conftest import ball_density, gaussian_psi
+from conftest import ball_density, gaussian_psi, smooth_random_psi
 
 
 def gaussian_kinetic_oracle(sigma: float) -> float:
@@ -205,6 +206,28 @@ class TestPrunedTransforms:
         big[:n, :n, :n] = values
         monkeypatch.setattr("pekar.spectral.sfft", FreshFFT())
         assert np.array_equal(SpectralOps.fft_padded(ops, values), sfft.rfftn(big))
+
+
+class TestWorkers:
+    """Transforms run on one worker below a grid size and on every core from
+    there on; the worker count must not change a result."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_results_equal_under_one_and_all_workers(self, n, monkeypatch):
+        g = Grid3D(n, 20.0)
+        ops = ops_for(g)
+        psi = smooth_random_psi(g, np.random.default_rng(n)).values
+        out = []
+        for workers in (1, -1):
+            monkeypatch.setattr(spectral, "_workers", lambda m, w=workers: w)
+            spec = ops.fft(psi)
+            out.append((spec, ops.ifft(spec), ops.coulomb_potential(psi**2)))
+        for one, every in zip(*out):
+            assert np.array_equal(one, every)
+
+    def test_small_grids_run_on_one_worker(self):
+        assert spectral._workers(32) == spectral._workers(40) == 1
+        assert spectral._workers(48) == spectral._workers(128) == -1
 
 
 class TestLatticeInvariance:

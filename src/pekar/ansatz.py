@@ -137,14 +137,17 @@ class PhononDisplacement:
     alpha: float
 
     def __post_init__(self):
+        coupling_constant(self.alpha)  # raises unless α is finite and positive
         self.z = np.asarray(self.z, dtype=np.complex128)
         if self.z.shape != self.kgrid.shape:
             raise ValueError(f"z shape {self.z.shape} does not match kgrid {self.kgrid.shape}")
+        if not np.all(np.isfinite(self.z)):
+            raise ValueError("displacement contains non-finite values")
 
 
 def coupling_constant(alpha: float) -> float:
-    """C(α) = √(α/2)/π; the completing-the-square test pins this value."""
-    if alpha <= 0:
+    """C(α) = √(α/2)/π for finite α > 0; the completing-the-square test pins this value."""
+    if not finite_real("alpha", alpha) > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return np.sqrt(alpha / 2.0) / np.pi
 
@@ -216,8 +219,7 @@ def alpha_scaling_check(
     side L/α, so the scaled samples reuse φ's values exactly), the
     potential scales as α² V(αx), and the mode grid dilates to α·k_max.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    coupling_constant(alpha)  # raises unless α is finite and positive
     g = phi.grid
     base = pekar_energy(phi, V).total
     target = alpha**2 * base

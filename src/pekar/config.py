@@ -28,6 +28,7 @@ from .fields import Grid3D, RadialGrid, finite_real
 from .ansatz import KGrid
 from .minimize import SeedSpec, SolveOptions
 from .potentials import PotentialSpec, check_in_box
+from .spectral import memory_estimate
 
 
 SECTIONS = ("grid", "radial_grid", "kgrid", "potential", "solver")
@@ -199,13 +200,8 @@ class ExperimentConfig:
         rep: dict[str, Any] = {"experiment": self.experiment}
         g, rg, kg = self.grid, self.radial_grid, self.kgrid
         if g is not None:
-            n, npad = g.n, 2 * g.n
-            half, half_pad = n * n * (n // 2 + 1), npad * npad * (npad // 2 + 1)
-            # SpectralOps' k2 and wk (float64), boundary_mask (bool), and one
-            # complex padded half-spectrum
-            mem = 8 * half + 8 * half_pad + n**3 + 16 * half_pad
-            rep["grid"] = {"n": n, "L": g.L, "dx": g.dx, "inscribed_radius": g.L / 2,
-                           "memory_estimate_bytes": mem}
+            rep["grid"] = {"n": g.n, "L": g.L, "dx": g.dx, "inscribed_radius": g.L / 2,
+                           "memory_estimate_bytes": memory_estimate(g.n)}
         if rg is not None:
             rep["radial_grid"] = {"m": rg.m, "r_max": rg.r_max, "dr": rg.dr}
         if kg is not None:

@@ -14,7 +14,7 @@ The descent loop reads both discrete functionals, ``BoxFunctional`` and
 the rfft half-spectrum ψ̂ in the box and the nodal values on the radial grid:
 
 - ``to_coords(values)``, ``to_values(x)``: the maps between ψ and x;
-- ``inner(a, b)``: the L² inner product, of coordinates;
+- ``inner(a, b)``: the L² inner product, of coordinates (``SpectralOps.inner`` in the box);
 - ``pairing(g, d)``: the energy's derivative along d, for the gradient g
   that ``residual`` returns;
 - ``evaluate(x) → (breakdown, fields)``: the fields hold the Coulomb
@@ -72,9 +72,9 @@ class ELResidual:
 class BoxFunctional:
     """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb.
 
-    ``evaluate`` makes one n³ inverse for ψ, reads T from ψ̂, and computes Φ_ρ
-    in the padded scratch, allocated once per functional; ``residual`` makes
-    two n³ forwards, ĥ = |k|²·FFT(ψ) - FFT((2Φ_ρ + V)ψ).
+    ``evaluate`` makes one n³ inverse for ψ, reads T from ψ̂, and computes Φ_ρ in
+    the padded scratch, allocated once; ``residual`` makes two n³ forwards, ĥ =
+    |k|²·FFT(ψ) - FFT((2Φ_ρ + V)ψ).  Transforms and ``inner`` are ``SpectralOps``'.
     """
 
     def __init__(self, grid: Grid3D, V: Field3D | None = None):
@@ -86,14 +86,8 @@ class BoxFunctional:
         self.V = None if V is None else V.values
         self._pad = None  # the padded half-spectrum, scratch of evaluate
         self.to_coords, self.to_values = self.ops.fft, self.ops.ifft
-
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Σ dup·Re(â*·b̂)·dv/n³: every kz plane counts twice but kz = 0 and Nyquist."""
-        e = np.s_[..., :: self.grid.n // 2]  # the kz = 0 and Nyquist planes
-        return float((2 * np.vdot(a, b) - np.vdot(a[e], b[e])).real * self.dv / self.grid.n**3)
-
-    # the gradient of residual is the L² one, so it pairs with a direction by inner
-    pairing = inner
+        # the gradient of residual is the L² one, so it pairs with a direction by inner
+        self.inner = self.pairing = self.ops.inner
 
     def evaluate(self, x: np.ndarray | None, values: np.ndarray | None = None) -> tuple:
         """``values``, when given, is ψ itself, and x may then be None."""

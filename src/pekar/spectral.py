@@ -2,9 +2,9 @@
 
 Kinetic energies are evaluated spectrally, Σ |k|² |ψ̂(k)|², which keeps
 them exactly consistent with the Coulomb pipeline (one transform
-library, one discrete gradient).  One builder gives |k|² of both rfft
-half-grids, and both energies are one reduction Σ w |ŝ(k)|² over a
-half-spectrum: w = |k|² on the box grid, w = ŵ below on the padded one.
+library, one discrete gradient).  Only this module knows the rfft
+half-spectrum layout: one rule makes the inner product of half-spectra and
+both energies, Σ w |ŝ(k)|² with w = |k|² on the box grid, ŵ on the padded one.
 
 The Coulomb convolution ρ ↦ ∫ ρ(y)/|x-y| dy is computed on a zero-padded
 grid of twice the box side with the spherically truncated kernel
@@ -46,14 +46,23 @@ def _workers(n: int) -> int:
     return 1 if n < 48 else -1
 
 
-def _half_grid(n: int, dx: float) -> tuple:
-    """(|k|², Hermitian double-count weights of the last axis) of an n³ rfft half-grid."""
+def _half_grid(n: int, dx: float) -> np.ndarray:
+    """|k|² on an n³ rfft half-grid."""
     k1 = 2 * np.pi * sfft.fftfreq(n, d=dx)
     kz = 2 * np.pi * sfft.rfftfreq(n, d=dx)
     KX, KY, KZ = np.meshgrid(k1, k1, kz, indexing="ij", sparse=True)
-    dup = np.full(n // 2 + 1, 2.0)
-    dup[0] = dup[-1] = 1.0
-    return KX**2 + KY**2 + KZ**2, dup
+    return KX**2 + KY**2 + KZ**2
+
+
+def _full_vdot(a: np.ndarray, b: np.ndarray):
+    """Σ a*·b over the full spectrum of a real grid, from its rfft halves a and b."""
+    e = np.s_[..., :: a.shape[-1] - 1]  # kz = 0 and Nyquist, their own mirrors, count once
+    return 2 * np.vdot(a, b) - np.vdot(a[e], b[e])
+
+
+def memory_estimate(n: int) -> int:
+    """Bytes of an n³ box's k2 and wk (float64) and one padded half-spectrum (complex)."""
+    return 8 * n * n * (n // 2 + 1) + (8 + 16) * (2 * n) ** 2 * (n + 1)
 
 
 class SpectralOps:
@@ -62,20 +71,13 @@ class SpectralOps:
     def __init__(self, grid: Grid3D):
         self.grid = grid
         n, dx, L = grid.n, grid.dx, grid.L
-        self.k2, self.dup = _half_grid(n, dx)
+        self.k2 = _half_grid(n, dx)
         self.npad = npad = 2 * n
-        pk2, self.dup_p = _half_grid(npad, dx)
+        pk2 = _half_grid(npad, dx)
         with np.errstate(divide="ignore", invalid="ignore"):
-            wk = 4 * np.pi * (1 - np.cos(np.sqrt(pk2) * L)) / pk2
+            self.wk = wk = 4 * np.pi * (1 - np.cos(np.sqrt(pk2) * L)) / pk2
         wk[0, 0, 0] = 2 * np.pi * L**2
-        self.wk = wk
-
-        # cells within 2dx of the box faces, for the support diagnostic
-        ax = np.abs(grid.axis())
-        near = ax >= L / 2 - 2 * dx
-        self.boundary_mask = near[:, None, None] | near[None, :, None] | near[None, None, :]
-        for a in (self.k2, self.dup, self.wk, self.dup_p, self.boundary_mask):
-            a.flags.writeable = False
+        self.k2.flags.writeable = wk.flags.writeable = False
 
     # -- transforms ---------------------------------------------------------
 
@@ -113,30 +115,33 @@ class SpectralOps:
 
     # -- energies and operators ---------------------------------------------
 
-    def _reduce(self, w: np.ndarray, spec: np.ndarray, dup: np.ndarray, m: int) -> float:
-        """Σ w·dup·|ŝ|² · dx³/m³ over an rfft half-spectrum of an m³ grid,
-        a block of leading-axis planes at a time, so no temporary is full-size."""
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Σ u·v·dv of the real fields u, v whose rfft half-spectra are a, b (Parseval)."""
+        return float(_full_vdot(a, b).real * self.grid.cell_volume / self.grid.n**3)
+
+    def _reduce(self, w: np.ndarray, spec: np.ndarray) -> float:
+        """Σ w·|ŝ|² · dx³/m³ over the full spectrum of an m³ grid, from its rfft
+        half a block of leading-axis planes at a time, so no temporary is full-size."""
         step = max(1, _BLOCK // (spec.shape[1] * spec.shape[2]))
         s = 0.0
         for i in range(0, len(spec), step):
             blk = spec[i:i + step]
             p = blk.real**2
             p += blk.imag**2
-            p *= dup
-            s += np.vdot(w[i:i + step], p)
-        return float(self.grid.cell_volume / m**3 * s)
+            s += _full_vdot(w[i:i + step], p)
+        return float(self.grid.cell_volume / len(spec) ** 3 * s)
 
     def kinetic(self, values: np.ndarray, spec: np.ndarray | None = None) -> float:
         """∫ |∇ψ|² dx = Σ |k|² |ψ̂|², spectral."""
         if spec is None:
             spec = self.fft(values)
-        return self._reduce(self.k2, spec, self.dup, self.grid.n)
+        return self._reduce(self.k2, spec)
 
     def coulomb_energy(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> float:
         """D(ρ,ρ) = ∬ ρ(x) ρ(y)/|x-y| dx dy via the padded kernel."""
         if spec_pad is None:
             spec_pad = self.fft_padded(rho)
-        return self._reduce(self.wk, spec_pad, self.dup_p, self.npad)
+        return self._reduce(self.wk, spec_pad)
 
     def coulomb_potential(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> np.ndarray:
         """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box.
@@ -158,6 +163,7 @@ class SpectralOps:
         return phi[:, :, :n] * (1.0 / npad**3)
 
     def neg_laplacian(self, values: np.ndarray) -> np.ndarray:
+        """-Δ by a round trip; a test reference, which the benchmark's tracer patches."""
         return self.ifft(self.k2 * self.fft(values))
 
     def precondition(self, values: np.ndarray, shift: float) -> np.ndarray:
@@ -165,7 +171,8 @@ class SpectralOps:
         return self.ifft(self.fft(values) / (shift + 2 * self.k2))
 
     def boundary_mass(self, rho: np.ndarray) -> float:
-        return float(np.sum(rho[self.boundary_mask]) * self.grid.cell_volume)
+        """Σ ρ·dv over the cells within 2dx of the faces: all but the core."""
+        return float((np.sum(rho) - np.sum(rho[2:-2, 2:-2, 2:-2])) * self.grid.cell_volume)
 
 
 @functools.cache

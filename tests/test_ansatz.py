@@ -157,6 +157,24 @@ class TestOptimalDisplacement:
         with pytest.raises(ValueError, match="alpha"):
             optimal_displacement(np.ones(kg.shape, dtype=complex), kg, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, grid32, bad):
+        kg = KGrid(4, 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            coupling_constant(bad)
+        with pytest.raises(ValueError, match="alpha"):
+            min_product_energy(gaussian_psi(grid32, 1.0), kg, alpha=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            PhononDisplacement(kg, np.zeros(kg.shape, dtype=complex), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_displacement_rejected(self, bad):
+        kg = KGrid(4, 1.0)
+        z = np.zeros(kg.shape, dtype=complex)
+        z[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PhononDisplacement(kg, z, 1.0)
+
 
 class TestProductEnergy:
     def test_zero_displacement_leaves_kinetic(self, grid32):

@@ -210,7 +210,7 @@ class TestDerivedReport:
         )
         assert cfg.derived_report()["kgrid"]["dk"] == pytest.approx(0.5)
         npad = ops.npad
-        kept = ops.k2.nbytes + ops.wk.nbytes + ops.boundary_mask.nbytes
+        kept = ops.k2.nbytes + ops.wk.nbytes
         spectrum = 16 * npad**2 * (npad // 2 + 1)  # one complex padded half-spectrum
         assert cfg.derived_report()["grid"]["memory_estimate_bytes"] == kept + spectrum
 

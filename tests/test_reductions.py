@@ -34,8 +34,21 @@ def pair(grid64):
     return smooth_random_psi(grid64, rng), Field3D(grid64, rng.standard_normal(grid64.shape))
 
 
-def _reference_reduce(w, spec, dup, dv, m):
+def _reference_reduce(w, spec, dv, m):
+    """Σ w·dup·|ŝ|²·dv/m³ with the Hermitian weights of the half-grid's last
+    axis spelt out: each kz plane counts twice but the first and the last."""
+    dup = np.full(spec.shape[2], 2.0)
+    dup[0] = dup[-1] = 1.0
     return float(dv / m**3 * np.sum(w * (spec.real**2 + spec.imag**2) * dup))
+
+
+def _plane_part(a, part):
+    """``a`` itself, or the part of it whose rfft half-spectrum lies on the
+    kz = 0 plane (the z mean) or on the Nyquist plane (the alternating mean)."""
+    if part == "all":
+        return a
+    alt = np.ones(a.shape[2]) if part == "kz0" else (-1.0) ** np.arange(a.shape[2])
+    return alt * np.mean(a * alt, axis=2, keepdims=True)
 
 
 def _traced_peak(fn, *args):
@@ -70,12 +83,25 @@ class TestAgainstTheSumForms:
         ops = ops_for(g)
         psi = smooth_random_psi(g, np.random.default_rng(n)).values
         spec = ops.fft(psi)
-        ref = _reference_reduce(ops.k2, spec, ops.dup, g.cell_volume, n)
+        ref = _reference_reduce(ops.k2, spec, g.cell_volume, n)
         assert ops.kinetic(psi, spec=spec) == pytest.approx(ref, rel=REL)
         rho = psi**2
         spec_pad = ops.fft_padded(rho)
-        ref = _reference_reduce(ops.wk, spec_pad, ops.dup_p, g.cell_volume, ops.npad)
+        ref = _reference_reduce(ops.wk, spec_pad, g.cell_volume, ops.npad)
         assert ops.coulomb_energy(rho, spec_pad=spec_pad) == pytest.approx(ref, rel=REL)
+
+    @pytest.mark.parametrize("part", ["kz0", "nyquist"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_kinetic_and_coulomb_energy_on_the_single_planes(self, n, part):
+        # a field whose half-spectrum lies on the kz = 0 or the Nyquist plane
+        # alone, the planes that count once
+        g = Grid3D(n, 10.0)
+        ops = ops_for(g)
+        a = _plane_part(np.random.default_rng(n).standard_normal(g.shape), part)
+        ref = _reference_reduce(ops.k2, ops.fft(a), g.cell_volume, n)
+        assert ops.kinetic(a) == pytest.approx(ref, rel=REL)
+        ref = _reference_reduce(ops.wk, ops.fft_padded(a), g.cell_volume, ops.npad)
+        assert ops.coulomb_energy(a) == pytest.approx(ref, rel=REL)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_solver_coulomb_is_the_padded_reduction(self, n):
@@ -85,15 +111,6 @@ class TestAgainstTheSumForms:
         F = BoxFunctional(g)
         bd = F.evaluate(F.to_coords(psi))[0]
         assert bd.coulomb == pytest.approx(ops_for(g).coulomb_energy(psi**2), rel=REL)
-
-
-def _plane_part(a, part):
-    """``a`` itself, or the part of it whose rfft half-spectrum lies on the
-    kz = 0 plane (the z mean) or on the Nyquist plane (the alternating mean)."""
-    if part == "all":
-        return a
-    alt = np.ones(a.shape[2]) if part == "kz0" else (-1.0) ** np.arange(a.shape[2])
-    return alt * np.mean(a * alt, axis=2, keepdims=True)
 
 
 class TestSpectralCoordinates:
@@ -143,6 +160,12 @@ class TestNoFullSizeTemporary:
         F = BoxFunctional(psi.grid)
         a, b = F.to_coords(psi.values), F.to_coords(f.values)
         assert _traced_peak(F.inner, a, b)[1] < psi.values.nbytes
+
+    def test_kinetic_of_a_spectrum(self, pair):
+        psi, _ = pair
+        ops = ops_for(psi.grid)
+        spec = ops.fft(psi.values)
+        assert _traced_peak(ops.kinetic, psi.values, spec)[1] < psi.values.nbytes
 
     def test_coulomb_energy_of_a_padded_spectrum(self, pair):
         psi, _ = pair

@@ -1,5 +1,6 @@
 import os
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +113,23 @@ class TestCoulomb:
         with pytest.warns(BoundarySupportWarning):
             coulomb_self_energy(Field3D(grid32, vals))
 
+    def test_support_inside_the_box_does_not_warn(self, grid32):
+        rho = ball_density(grid32, 4.0)  # radius half the inscribed one
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # pyproject.toml ignores the warning globally
+            coulomb_self_energy(rho)
+        assert not [w for w in caught if issubclass(w.category, BoundarySupportWarning)]
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_boundary_mass_is_that_of_the_cells_near_the_faces(self, n):
+        g = Grid3D(n, 10.0)
+        near = np.abs(g.axis()) >= g.L / 2 - 2 * g.dx
+        mask = near[:, None, None] | near[None, :, None] | near[None, None, :]
+        rho = np.random.default_rng(n).random(g.shape)
+        ref = np.sum(rho[mask]) * g.cell_volume
+        tol = 1e-14 * np.sum(np.abs(rho)) * g.cell_volume
+        assert abs(ops_for(g).boundary_mass(rho) - ref) <= tol
+
     def test_positivity_on_random_densities(self, grid32):
         rng = np.random.default_rng(3)
         for _ in range(8):
@@ -143,8 +161,7 @@ class TestOperatorCache:
         ops = ops_for(grid32)
         with pytest.raises(ValueError):
             ops.wk[0, 0, 0] = 1.0
-        for a in (ops.k2, ops.dup, ops.dup_p, ops.boundary_mask):
-            assert not a.flags.writeable
+        assert not ops.k2.flags.writeable
         assert ops_for(Grid3D(32, 16.0)) is ops
 
     def test_sweep_builds_the_operators_once(self, monkeypatch):

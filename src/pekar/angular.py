@@ -1,7 +1,5 @@
 """Angular reductions: spherical averages, radial lifts, shell projection.
 
-Two distinct reductions are provided.
-
 ``spherical_average`` extracts a smooth radial profile g(r) by Lebedev
 quadrature over directions with periodic trilinear sampling of the box
 field; it is the right tool for comparing minimizer profiles across runs.
@@ -14,9 +12,12 @@ cube symmetries — which makes pairing identities like ∫⟨W⟩ρ = ∫W⟨ρ
 hold to rounding rather than to interpolation accuracy.  Its shell index
 lives on the half-slab x > 0, y > 0, since mirroring x or y keeps every
 shell: n³/4 entries (4.2 MB at 128³), built once per grid from a
-label-count table without a sort.  ``shell_project`` and ``shell_profile``
-share one reduction that adds the four mirror images onto the slab before
-a single ``np.bincount``.
+label-count table without a sort, with one radius per shell.  It has
+three users: ``shell_project`` and ``shell_profile`` add the four mirror
+images onto the slab before one ``np.bincount``; ``radial_field`` puts a
+profile on the box with one value per shell, through the unfold that
+``shell_project`` uses, so the radial potentials, the Gaussian seed and
+``lift_radial`` keep the 48 cube symmetries on every grid.
 """
 
 from __future__ import annotations
@@ -70,11 +71,8 @@ def spherical_average(f: Field3D) -> RadialField:
 
 
 def lift_radial(u: RadialField, grid: Grid3D) -> Field3D:
-    """Field with values u(|x|) by linear interpolation of the radial
-    profile, zero beyond the radial grid's r_max."""
-    rr = grid.radius()
-    vals = np.interp(rr.ravel(), u.grid.nodes(), u.values, right=0.0).reshape(grid.shape)
-    return Field3D(grid, vals)
+    """Field u(|x|), linear between the radial nodes and zero beyond r_max."""
+    return radial_field(grid, lambda r: np.interp(r, u.grid.nodes(), u.values, right=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -94,7 +92,9 @@ def _shell_index(grid: Grid3D) -> tuple:
     ``inverse`` has shape (n/2, n/2, n), n³/4 int64 entries (4.2 MB at 128³),
     and ``counts`` are whole-lattice counts, 4× the slab counts.  Compact
     shell ids come from a label-count table (``np.bincount`` of the labels
-    and a lookup of its nonzero entries), not from a sort.
+    and a lookup of its nonzero entries), not from a sort.  The radii are
+    sqrt(label·(dx/2)²): if (dx/2)² is exact in binary, so is x²+y²+z², and
+    they equal ``Grid3D.radius()`` bit for bit (sqrt(label)·dx/2 does not).
     """
     n, h = grid.n, grid.n // 2
     s2 = (2 * np.arange(n) + 1 - n) ** 2  # squared odd integers, (2x/dx)²
@@ -105,7 +105,7 @@ def _shell_index(grid: Grid3D) -> tuple:
     lookup[labels] = np.arange(len(labels))
     inverse = lookup[lab]
     counts = 4 * table[labels]
-    radii = np.sqrt(labels.astype(np.float64)) * grid.dx / 2
+    radii = np.sqrt(labels * (grid.dx / 2) ** 2)
     for a in (inverse, counts, radii):
         a.flags.writeable = False
     return inverse, counts, radii
@@ -123,16 +123,23 @@ def _shell_means(f: Field3D) -> np.ndarray:
     return np.bincount(inverse.ravel(), weights=fold.ravel(), minlength=len(counts)) / counts
 
 
+def _unfold(grid: Grid3D, per_shell: np.ndarray) -> Field3D:
+    """Field with per_shell[s] on each cell of shell s, mirrored from the slab."""
+    h = grid.n // 2
+    out = np.empty(grid.shape)
+    out[h:, h:] = out[h:, h - 1 :: -1] = per_shell[_shell_index(grid)[0]]
+    out[h - 1 :: -1] = out[h:]
+    return Field3D(grid, out)
+
+
 def shell_project(f: Field3D) -> Field3D:
     """Replace every value by the mean over its exact |x|-shell (projection P)."""
-    inverse, _, _ = _shell_index(f.grid)
-    h = f.grid.n // 2
-    slab = _shell_means(f)[inverse]
-    out = np.empty(f.grid.shape)
-    out[h:, h:] = slab
-    out[h:, h - 1 :: -1] = slab
-    out[h - 1 :: -1] = out[h:]
-    return Field3D(f.grid, out)
+    return _unfold(f.grid, _shell_means(f))
+
+
+def radial_field(grid: Grid3D, profile) -> Field3D:
+    """Field profile(|x|), one evaluation per exact shell, at its radius."""
+    return _unfold(grid, profile(_shell_index(grid)[2]))
 
 
 def shell_profile(f: Field3D) -> tuple:

@@ -241,7 +241,9 @@ def save_radial(path, u: RadialField) -> None:
 
 
 def load_radial(path) -> RadialField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"not a radial snapshot: rows r,value expected, got shape {data.shape}")
     r, v = data[:, 0], data[:, 1]
     grid = RadialGrid(len(r), float(r[-1]))
     if not np.allclose(grid.nodes(), r, atol=1e-12):

@@ -33,6 +33,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .angular import radial_field
 from .energy import (
     BoxFunctional,
     ELResidual,
@@ -138,8 +139,7 @@ class MinimizerResult:
 
 
 def radial_gaussian_seed(grid: Grid3D, sigma: float = FREE_SEED_SIGMA) -> Field3D:
-    rr = grid.radius()
-    return normalize(Field3D(grid, np.exp(-(rr**2) / (4 * sigma**2))))
+    return normalize(radial_field(grid, lambda r: np.exp(-(r**2) / (4 * sigma**2))))
 
 
 def translate_seed(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import shell_project
+from .angular import radial_field, shell_project
 from .fields import Field3D, Grid3D, RadialField, RadialGrid, finite_real
 
 
@@ -122,8 +122,7 @@ class PotentialSpec:
         if self.kind == "x1_squared":
             X, _, _ = grid.meshgrid()
             return Field3D(grid, np.broadcast_to(X * X, grid.shape).copy())
-        rr = grid.radius()
-        return Field3D(grid, self.profile(rr.ravel()).reshape(grid.shape))
+        return radial_field(grid, self.profile)
 
     def build_radial(self, rgrid: RadialGrid) -> RadialField:
         return RadialField(rgrid, self.profile(rgrid.nodes()))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,12 @@ def smooth_random_psi(
         amp = rng.uniform(0.3, 1.0)
         vals += amp * np.exp(-((X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2) / (4 * s**2))
     return normalize(Field3D(grid, vals))
+
+
+def cube_symmetries():
+    """The 48 maps of an (n, n, n) array that permute and reverse its axes;
+    each maps the cell-centred lattice, symmetric about the origin, onto itself."""
+    for perm in itertools.permutations(range(3)):
+        for flips in itertools.product((1, -1), repeat=3):
+            index = tuple(slice(None, None, f) for f in flips)
+            yield lambda v, perm=perm, index=index: np.ascontiguousarray(v.transpose(perm)[index])

@@ -19,8 +19,10 @@ from pekar import (
     spherical_average,
 )
 from pekar.angular import _shell_index
+from pekar.minimize import radial_gaussian_seed
+from pekar.potentials import PotentialSpec
 
-from conftest import gaussian_psi, gaussian_radial
+from conftest import cube_symmetries, gaussian_psi, gaussian_radial
 
 
 class TestSphericalAverage:
@@ -204,7 +206,7 @@ def _full_lattice_index(grid: Grid3D) -> tuple:
     s2 = c * c
     lab = s2[:, None, None] + s2[None, :, None] + s2[None, None, :]
     uniq, inverse, counts = np.unique(lab.ravel(), return_inverse=True, return_counts=True)
-    return inverse, counts, np.sqrt(uniq.astype(np.float64)) * grid.dx / 2
+    return inverse, counts, np.sqrt(uniq * (grid.dx / 2) ** 2)
 
 
 class TestHalfSlabIndex:
@@ -225,3 +227,38 @@ class TestHalfSlabIndex:
         np.testing.assert_allclose(got_means, means, rtol=0, atol=atol)
         ref = means[inverse].reshape(grid.shape)
         np.testing.assert_allclose(shell_project(f).values, ref, rtol=0, atol=atol)
+
+
+# every builder that puts a radial profile on the box, by name
+RADIAL_BUILDERS = {
+    "annular": PotentialSpec(kind="annular", R=6.0).build,
+    "radial_bump": PotentialSpec(kind="radial_bump", center=5.0, width=2.0).build,
+    "radial_gaussian": PotentialSpec(kind="radial_gaussian", center=3.0, width=2.0).build,
+    "lift_radial": lambda g: lift_radial(gaussian_radial(RadialGrid(2048, g.L), 1.5), g),
+    "radial_gaussian_seed": radial_gaussian_seed,
+}
+
+
+class TestOneLift:
+    """Radial fields come from the exact-shell table: one value per shell."""
+
+    @pytest.mark.parametrize("L", [16.0, 40.0])  # dx = L/48 is not a binary fraction
+    @pytest.mark.parametrize("name", RADIAL_BUILDERS)
+    def test_radial_fields_keep_the_cube_symmetries(self, name, L):
+        v = RADIAL_BUILDERS[name](Grid3D(48, L)).values
+        for tf in cube_symmetries():
+            np.testing.assert_array_equal(tf(v), v)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PotentialSpec(kind="annular", R=8.0),
+            PotentialSpec(kind="radial_bump", center=5.0, width=2.0),
+        ],
+        ids=["annular", "radial_bump"],
+    )
+    def test_binary_grids_match_the_radius_formula(self, spec, n):
+        # (dx/2)² is exact in binary, so every shell radius is |x| bit for bit
+        grid = Grid3D(n, 40.0)
+        np.testing.assert_array_equal(spec.build(grid).values, spec.profile(grid.radius()))

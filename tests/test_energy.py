@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +20,7 @@ from pekar.energy import check_coercivity
 from pekar.potentials import smooth_bump
 from pekar.spectral import SpectralOps
 
-from conftest import gaussian_psi, gaussian_radial, smooth_random_psi
+from conftest import cube_symmetries, gaussian_psi, gaussian_radial, smooth_random_psi
 
 
 class TestBreakdown:
@@ -161,15 +159,6 @@ class TestGradient:
         assert abs(res.mu - mu2) <= 1e-10 * max(1.0, abs(mu2))
 
 
-def _cube_symmetries():
-    """The 48 maps of an (n, n, n) array that permute and reverse its axes;
-    each maps the cell-centred lattice, symmetric about the origin, onto itself."""
-    for perm in itertools.permutations(range(3)):
-        for flips in itertools.product((1, -1), repeat=3):
-            index = tuple(slice(None, None, f) for f in flips)
-            yield lambda v, perm=perm, index=index: np.ascontiguousarray(v.transpose(perm)[index])
-
-
 class TestLatticeSymmetryProperty:
     """pekar_energy is invariant under the cube group (with a radial V) and
     under lattice shifts (V = 0), for smooth random fields supported in a
@@ -199,7 +188,7 @@ class TestLatticeSymmetryProperty:
                 assert abs(getattr(b, k) - getattr(ref, k)) <= 1e-12 * scale, k
 
         ref = pekar_energy(psi, V)
-        for tf in _cube_symmetries():
+        for tf in cube_symmetries():
             assert_same(pekar_energy(Field3D(grid, tf(psi.values)), V), ref)
 
         # whole-cell shifts that keep the support |x - shift| < L/4 inside

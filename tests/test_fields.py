@@ -136,6 +136,18 @@ class TestSnapshots:
         assert back.grid.r_max == pytest.approx(rg.r_max)
         np.testing.assert_allclose(back.values, u.values, rtol=0, atol=1e-16)
 
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.parametrize(
+        "body",
+        ["", "0.0,1.0\n", "0.0,1.0,2.0\n1.0,1.0,2.0\n2.0,1.0,2.0\n3.0,1.0,2.0\n"],
+        ids=["header_only", "one_row", "three_columns"],
+    )
+    def test_malformed_radial_rejected(self, tmp_path, body):
+        p = tmp_path / "u.csv"
+        p.write_text("r,value\n" + body)
+        with pytest.raises(ValueError):
+            load_radial(p)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "junk.field"
         p.write_bytes(b"not a snapshot\n1234")

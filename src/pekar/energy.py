@@ -17,11 +17,11 @@ the rfft half-spectrum ψ̂ in the box and the nodal values on the radial grid:
 - ``inner(a, b)``: the L² inner product, of coordinates (``SpectralOps.inner`` in the box);
 - ``pairing(g, d)``: the energy's derivative along d, for the gradient g
   that ``residual`` returns;
-- ``evaluate(x) → (breakdown, fields)``: the fields hold the Coulomb
-  potential Φ_ρ, and D = ⟨ρ, Φ_ρ⟩, so the energy–gradient pair is exactly
-  consistent (the box's fields are (ψ, Φ_ρ));
-- ``residual(x, bd, fields) → (ELResidual, gradient)``: reads the
-  fields of the same evaluation, so it computes no Coulomb potential.
+- ``evaluate(x) → (breakdown, (ψ, Φ_ρ))``: ψ the values of x and Φ_ρ the
+  Coulomb potential, with D = ⟨ρ, Φ_ρ⟩, so the energy–gradient pair is
+  exactly consistent;
+- ``residual(bd, fields) → (ELResidual, gradient)``: reads the fields of
+  the same evaluation, so it computes no Coulomb potential.
 """
 
 from __future__ import annotations
@@ -93,16 +93,16 @@ class BoxFunctional:
         """``values``, when given, is ψ itself, and x may then be None."""
         ops = self.ops
         psi = ops.ifft(x) if values is None else values
-        T = ops.kinetic(psi, spec=x)
+        T = ops.kinetic(ops.fft(psi) if x is None else x)
         rho = psi**2
         self._pad = ops.fft_padded(rho, out=self._pad)
-        phi = ops.coulomb_potential(rho, spec_pad=self._pad)
+        phi = ops.coulomb_potential(self._pad)
         P = 0.0 if self.V is None else float(np.vdot(self.V, rho) * self.dv)
         return EnergyBreakdown(T, float(np.vdot(rho, phi) * self.dv), P), (psi, phi)
 
-    def residual(self, x: np.ndarray | None, bd: EnergyBreakdown, fields: tuple) -> tuple:
-        """μ = ⟨ψ, H_ψ ψ⟩, so neither x nor bd is read; the gradient is the
-        L² one, 2(H_ψ - μ)ψ, as a half-spectrum."""
+    def residual(self, bd: EnergyBreakdown, fields: tuple) -> tuple:
+        """μ = ⟨ψ, H_ψ ψ⟩, so bd is not read; the gradient is the L² one,
+        2(H_ψ - μ)ψ, as a half-spectrum."""
         psi, phi = fields
         w = 2 * phi if self.V is None else 2 * phi + self.V
         w *= psi
@@ -116,7 +116,7 @@ class BoxFunctional:
 
 class RadialFunctional:
     """E_V on the radial grid: kinetic quadratic form, Newton-theorem Coulomb;
-    ``evaluate`` hands out Φ from one prefix-sum pass, with D = ⟨ρ, Φ⟩_M."""
+    ``evaluate`` hands out (u, Φ), Φ from one prefix-sum pass, with D = ⟨ρ, Φ⟩_M."""
 
     def __init__(self, rgrid: RadialGrid, Vr: RadialField | None = None):
         if Vr is not None and Vr.grid != rgrid:
@@ -141,12 +141,13 @@ class RadialFunctional:
         T = float(np.sum(self.c_seg * np.diff(values) ** 2))
         rho = values**2
         phi = radial_coulomb_potential(RadialField(self.grid, rho))
-        return EnergyBreakdown(T, self.inner(rho, phi), self.inner(self.V, rho)), phi
+        return EnergyBreakdown(T, self.inner(rho, phi), self.inner(self.V, rho)), (values, phi)
 
-    def residual(self, values: np.ndarray, bd: EnergyBreakdown, phi: np.ndarray) -> tuple:
+    def residual(self, bd: EnergyBreakdown, fields: tuple) -> tuple:
         """(H u)_j in the weighted metric, with the origin node (zero measure)
         set to 0; the gradient is the nodal one, M·2(H - μ)u, whose origin row
         couples through the kinetic form only."""
+        values, phi = fields
         M = self.M
         Ku = apply_kinetic_form(values, self.c_seg)
         h = np.zeros(self.grid.m)
@@ -170,9 +171,10 @@ def pekar_energy(psi: Field3D, V: Field3D | None = None) -> EnergyBreakdown:
     """Energy breakdown of a normalized ψ in external potential V; D is the
     padded reduction, so no Φ_ρ is computed."""
     F = BoxFunctional(psi.grid, V)
-    rho = psi.values**2
+    ops, rho = F.ops, psi.values**2
     P = 0.0 if F.V is None else float(np.vdot(F.V, rho) * F.dv)
-    return EnergyBreakdown(F.ops.kinetic(psi.values), F.ops.coulomb_energy(rho), P)
+    T = ops.kinetic(ops.fft(psi.values))
+    return EnergyBreakdown(T, ops.coulomb_energy(ops.fft_padded(rho)), P)
 
 
 def free_energy(psi: Field3D) -> float:
@@ -185,14 +187,14 @@ def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
     F = BoxFunctional(psi.grid, V)
     b, fields = F.evaluate(None, psi.values)
-    el, g = F.residual(None, b, fields)
+    el, g = F.residual(b, fields)
     return b, Field3D(psi.grid, F.to_values(g) + 2 * el.mu * psi.values)
 
 
 def el_residual(psi: Field3D, V: Field3D | None = None) -> ELResidual:
     """Residual of the mean-field eigenvalue equation at ψ, with Rayleigh μ."""
     F = BoxFunctional(psi.grid, V)
-    return F.residual(None, *F.evaluate(None, psi.values))[0]
+    return F.residual(*F.evaluate(None, psi.values))[0]
 
 
 def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> EnergyBreakdown:
@@ -201,7 +203,7 @@ def radial_pekar_energy(u: RadialField, Vr: RadialField | None = None) -> Energy
 
 def radial_el_residual(u: RadialField, Vr: RadialField | None = None) -> ELResidual:
     F = RadialFunctional(u.grid, Vr)
-    return F.residual(u.values, *F.evaluate(u.values))[0]
+    return F.residual(*F.evaluate(u.values))[0]
 
 
 # --------------------------------------------------------------------------

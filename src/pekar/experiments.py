@@ -193,6 +193,8 @@ def perturbed_energy(
     warm: Optional[Field3D] = None,
 ) -> MinimizerResult:
     """Minimize E over the sphere for the potential V + δZ (warm-started)."""
+    if Z.grid != V.grid:
+        raise ValueError("potential and perturbation live on different grids")
     Vp = Field3D(V.grid, V.values + delta * Z.values)
     return minimize(Vp, opts, seed_field=warm)
 

@@ -139,6 +139,8 @@ class MinimizerResult:
 
 
 def radial_gaussian_seed(grid: Grid3D, sigma: float = FREE_SEED_SIGMA) -> Field3D:
+    if not finite_real("sigma", sigma) > 0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     return normalize(radial_field(grid, lambda r: np.exp(-(r**2) / (4 * sigma**2))))
 
 
@@ -243,7 +245,7 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         return el.residual_norm <= opts.tolerance_residual and last_dE <= opts.tolerance_energy
 
     for it in range(opts.max_iters + 1):
-        el, g = F.residual(x, bd, fields)
+        el, g = F.residual(bd, fields)
         if done():
             stop = "converged"
             break

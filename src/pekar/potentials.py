@@ -46,16 +46,8 @@ def annular_profile(r: np.ndarray, R: float, lam: float = 1.0) -> np.ndarray:
     if R <= 2:
         raise ValueError(f"R must exceed 2, got {R}")
     r = np.asarray(r, dtype=np.float64)
-    v = np.where(
-        r <= 1.0,
-        0.0,
-        np.where(
-            r < 2.0,
-            smooth_ramp(r - 1.0),
-            np.where(r <= R, 1.0, np.where(r < R + 1.0, smooth_ramp(R + 1.0 - r), 0.0)),
-        ),
-    )
-    return lam * v
+    # smooth_ramp clips to [0, 1], where it is exactly 0 and 1
+    return lam * np.where(r < 2.0, smooth_ramp(r - 1.0), smooth_ramp(R + 1.0 - r))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ them exactly consistent with the Coulomb pipeline (one transform
 library, one discrete gradient).  Only this module knows the rfft
 half-spectrum layout: one rule makes the inner product of half-spectra and
 both energies, Σ w |ŝ(k)|² with w = |k|² on the box grid, ŵ on the padded one.
+Only ``fft`` and ``fft_padded`` take a field; the energies and Φ_ρ take the
+spectrum they reduce.
 
 The Coulomb convolution ρ ↦ ∫ ρ(y)/|x-y| dy is computed on a zero-padded
 grid of twice the box side with the spherically truncated kernel
@@ -131,26 +133,20 @@ class SpectralOps:
             s += _full_vdot(w[i:i + step], p)
         return float(self.grid.cell_volume / len(spec) ** 3 * s)
 
-    def kinetic(self, values: np.ndarray, spec: np.ndarray | None = None) -> float:
-        """∫ |∇ψ|² dx = Σ |k|² |ψ̂|², spectral."""
-        if spec is None:
-            spec = self.fft(values)
+    def kinetic(self, spec: np.ndarray) -> float:
+        """∫ |∇ψ|² dx = Σ |k|² |ψ̂|², from the half-spectrum ψ̂ = ``fft(ψ)``."""
         return self._reduce(self.k2, spec)
 
-    def coulomb_energy(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> float:
-        """D(ρ,ρ) = ∬ ρ(x) ρ(y)/|x-y| dx dy via the padded kernel."""
-        if spec_pad is None:
-            spec_pad = self.fft_padded(rho)
+    def coulomb_energy(self, spec_pad: np.ndarray) -> float:
+        """D(ρ,ρ) = ∬ ρ(x) ρ(y)/|x-y| dx dy by the padded kernel, from ``fft_padded(ρ)``."""
         return self._reduce(self.wk, spec_pad)
 
-    def coulomb_potential(self, rho: np.ndarray, spec_pad: np.ndarray | None = None) -> np.ndarray:
-        """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box.
+    def coulomb_potential(self, spec_pad: np.ndarray) -> np.ndarray:
+        """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box, from ``fft_padded(ρ)``.
 
         ``spec_pad`` is overwritten: ŵ·ŝ and the first inverse pass are
         computed in it, so no padded-size array is allocated.
         """
-        if spec_pad is None:
-            spec_pad = self.fft_padded(rho)
         # pruned inverse: crop after each axis pass, so the later passes
         # transform only the lines that reach the original box; the passes
         # run unscaled and the 1/npad³ factor is applied once at the end,
@@ -188,7 +184,8 @@ def ops_for(grid: Grid3D) -> SpectralOps:
 
 def kinetic_energy(psi: Field3D) -> float:
     """Σ |k|² |ψ̂(k)|² with the proper quadrature normalization; >= 0."""
-    return ops_for(psi.grid).kinetic(psi.values)
+    ops = ops_for(psi.grid)
+    return ops.kinetic(ops.fft(psi.values))
 
 
 def coulomb_self_energy(rho: Field3D) -> float:
@@ -211,8 +208,9 @@ def coulomb_self_energy(rho: Field3D) -> float:
             BoundarySupportWarning,
             stacklevel=2,
         )
-    return ops.coulomb_energy(vals)
+    return ops.coulomb_energy(ops.fft_padded(vals))
 
 
 def coulomb_potential(rho: Field3D) -> Field3D:
-    return Field3D(rho.grid, ops_for(rho.grid).coulomb_potential(rho.values))
+    ops = ops_for(rho.grid)
+    return Field3D(rho.grid, ops.coulomb_potential(ops.fft_padded(rho.values)))

@@ -76,10 +76,10 @@ class TestBreakdown:
         monkeypatch.setattr(SpectralOps, "fft_padded", counting_padded)
         u = gaussian_radial(rgrid2048, 1.0).values
         F = energy.RadialFunctional(rgrid2048)
-        bd, phi = F.evaluate(u)
+        bd, (_, phi) = F.evaluate(u)
         assert len(radial_calls) == 1
         assert bd.coulomb == float(np.sum(F.M * u**2 * phi))
-        F.residual(u, bd, phi)
+        F.residual(bd, (u, phi))
         assert len(radial_calls) == 1
 
         psi = gaussian_psi(grid32, 1.0).values
@@ -87,7 +87,7 @@ class TestBreakdown:
         x = B.to_coords(psi)
         fields = B.evaluate(x)
         assert len(padded_calls) == 1
-        B.residual(x, *fields)
+        B.residual(*fields)
         assert len(padded_calls) == 1
 
     def test_translation_invariance_of_free_energy(self, grid32):

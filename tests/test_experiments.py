@@ -104,6 +104,13 @@ class TestPerturbedEnergy:
         res = perturbed_energy(V, Z, d, OPTS, warm=base_R4.psi)
         assert res.energy.total == pytest.approx(base_R4.energy.total - d * c, abs=1e-12)
 
+    def test_perturbation_on_another_grid_rejected(self):
+        # same shape, other side: adding the value arrays would be meaningless
+        V = PotentialSpec(kind="annular", R=4.0).build(Grid3D(16, 16.0))
+        Z = PotentialSpec(kind="radial_bump", center=3.0, width=1.0).build(Grid3D(16, 40.0))
+        with pytest.raises(ValueError, match="different grids"):
+            perturbed_energy(V, Z, 0.01, SolveOptions(max_iters=3))
+
 
 class TestFdDerivative:
     def test_zero_perturbation(self, grid_R4, base_R4):

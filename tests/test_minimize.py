@@ -261,6 +261,25 @@ def test_box_solve_transform_counts(monkeypatch):
     assert calls["precondition"] == calls["neg_laplacian"] == 0
 
 
+TIGHT_TOLERANCE = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: below a residual of about 1e-7 the solve can stop "
+    "no_descent before it reaches the tolerance",
+)
+
+
+@pytest.fixture(scope="module")
+def well32():
+    """The R=8 well on the n=32 box, Q translated along x, and a base solved from it at 1e-5."""
+    g = Grid3D(32, 40.0)
+    V = PotentialSpec(kind="annular", R=8.0).build(g)
+    Q = solve_free(RadialGrid(4096, 24.0), SolveOptions(max_iters=2000, tolerance_residual=1e-6))
+    seed = translate_seed(Q.psi, 8.0, g)
+    base = minimize(V, SolveOptions(max_iters=2000, tolerance_residual=1e-5), seed_field=seed)
+    assert base.converged and base.iterations == 33
+    return V, seed, base
+
+
 class TestStopReason:
     # "converged" and "max_iters" are asserted with the reported residual above
     def test_no_descent(self, monkeypatch):
@@ -271,11 +290,7 @@ class TestStopReason:
         assert res.stop == "no_descent" and not res.converged
         assert res.iterations == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: below a residual of about 1e-7 the solve can stop "
-        "no_descent before it reaches the tolerance",
-    )
+    @TIGHT_TOLERANCE
     @pytest.mark.parametrize(
         "seed", [SeedSpec(), SeedSpec(kind="translated_q", R=8.0)], ids=lambda s: s.kind
     )
@@ -283,6 +298,26 @@ class TestStopReason:
         Vr = PotentialSpec(kind="annular", R=8.0).build_radial(RadialGrid(4096, 24.0))
         opts = SolveOptions(tolerance_residual=1e-8, seed=seed)
         res = minimize_radial(Vr, opts)
+        assert res.converged, f"{res.stop} after {res.iterations} steps"
+
+    @TIGHT_TOLERANCE
+    def test_box_well_reaches_a_tight_tolerance(self, well32):
+        # stops no_descent after 56 steps at residual 1.04e-8
+        V, seed, _ = well32
+        res = minimize(V, SolveOptions(max_iters=2000, tolerance_residual=1e-8), seed_field=seed)
+        assert res.converged, f"{res.stop} after {res.iterations} steps"
+
+    # δ = +0.04, -0.04, +0.02 and -0.01 stop no_descent after 40, 48, 51 and
+    # 48 steps at residuals of 1.3-1.9e-8; -0.02 and +0.01 converge
+    @pytest.mark.parametrize(
+        "delta", [pytest.param(d, marks=TIGHT_TOLERANCE) for d in (0.04, -0.04, 0.02, -0.01)]
+        + [-0.02, 0.01],
+    )
+    def test_warm_box_well_reaches_a_tight_tolerance(self, well32, delta):
+        V, _, base = well32
+        Z = PotentialSpec(kind="radial_bump", center=5.0, width=2.0).build(V.grid)
+        opts = SolveOptions(max_iters=2000, tolerance_residual=1e-8)
+        res = perturbed_energy(V, Z, delta, opts, warm=base.psi)
         assert res.converged, f"{res.stop} after {res.iterations} steps"
 
 
@@ -400,6 +435,12 @@ class TestOptions:
         assert seed.direction == (0.0, 0.0, 1.0)
         res = solve_free(RadialGrid(64, 10.0), SolveOptions(max_iters=3, seed=seed))
         assert res.iterations <= 3
+
+
+@pytest.mark.parametrize("sigma", [-1.5, 0.0, float("inf"), float("nan")])
+def test_radial_gaussian_seed_rejects_a_bad_width(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        radial_gaussian_seed(Grid3D(16, 20.0), sigma)
 
 
 class TestSeedOnAnotherGrid:

@@ -84,11 +84,11 @@ class TestAgainstTheSumForms:
         psi = smooth_random_psi(g, np.random.default_rng(n)).values
         spec = ops.fft(psi)
         ref = _reference_reduce(ops.k2, spec, g.cell_volume, n)
-        assert ops.kinetic(psi, spec=spec) == pytest.approx(ref, rel=REL)
+        assert ops.kinetic(spec) == pytest.approx(ref, rel=REL)
         rho = psi**2
         spec_pad = ops.fft_padded(rho)
         ref = _reference_reduce(ops.wk, spec_pad, g.cell_volume, ops.npad)
-        assert ops.coulomb_energy(rho, spec_pad=spec_pad) == pytest.approx(ref, rel=REL)
+        assert ops.coulomb_energy(spec_pad) == pytest.approx(ref, rel=REL)
 
     @pytest.mark.parametrize("part", ["kz0", "nyquist"])
     @pytest.mark.parametrize("n", [8, 16])
@@ -98,10 +98,19 @@ class TestAgainstTheSumForms:
         g = Grid3D(n, 10.0)
         ops = ops_for(g)
         a = _plane_part(np.random.default_rng(n).standard_normal(g.shape), part)
-        ref = _reference_reduce(ops.k2, ops.fft(a), g.cell_volume, n)
-        assert ops.kinetic(a) == pytest.approx(ref, rel=REL)
-        ref = _reference_reduce(ops.wk, ops.fft_padded(a), g.cell_volume, ops.npad)
-        assert ops.coulomb_energy(a) == pytest.approx(ref, rel=REL)
+        spec, spec_pad = ops.fft(a), ops.fft_padded(a)
+        ref = _reference_reduce(ops.k2, spec, g.cell_volume, n)
+        assert ops.kinetic(spec) == pytest.approx(ref, rel=REL)
+        ref = _reference_reduce(ops.wk, spec_pad, g.cell_volume, ops.npad)
+        assert ops.coulomb_energy(spec_pad) == pytest.approx(ref, rel=REL)
+
+    @pytest.mark.parametrize("name", ["kinetic", "coulomb_energy", "coulomb_potential"])
+    def test_reductions_refuse_a_real_field(self, name):
+        # each takes the spectrum it reduces; a field in its place is a shape error
+        g = Grid3D(16, 10.0)
+        psi = smooth_random_psi(g, np.random.default_rng(16)).values
+        with pytest.raises(ValueError):
+            getattr(ops_for(g), name)(psi)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_solver_coulomb_is_the_padded_reduction(self, n):
@@ -110,7 +119,8 @@ class TestAgainstTheSumForms:
         psi = smooth_random_psi(g, np.random.default_rng(n)).values
         F = BoxFunctional(g)
         bd = F.evaluate(F.to_coords(psi))[0]
-        assert bd.coulomb == pytest.approx(ops_for(g).coulomb_energy(psi**2), rel=REL)
+        ops = ops_for(g)
+        assert bd.coulomb == pytest.approx(ops.coulomb_energy(ops.fft_padded(psi**2)), rel=REL)
 
 
 class TestSpectralCoordinates:
@@ -165,14 +175,14 @@ class TestNoFullSizeTemporary:
         psi, _ = pair
         ops = ops_for(psi.grid)
         spec = ops.fft(psi.values)
-        assert _traced_peak(ops.kinetic, psi.values, spec)[1] < psi.values.nbytes
+        assert _traced_peak(ops.kinetic, spec)[1] < psi.values.nbytes
 
     def test_coulomb_energy_of_a_padded_spectrum(self, pair):
         psi, _ = pair
         ops = ops_for(psi.grid)
         rho = psi.values**2
         spec_pad = ops.fft_padded(rho)
-        assert _traced_peak(ops.coulomb_energy, rho, spec_pad)[1] < rho.nbytes
+        assert _traced_peak(ops.coulomb_energy, spec_pad)[1] < rho.nbytes
 
     def test_rotational_density_check_pairings(self, pair, monkeypatch):
         import pekar.experiments as exp

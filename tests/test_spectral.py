@@ -143,9 +143,9 @@ class TestCoulomb:
         for _ in range(6):
             r1 = gaussian_psi(grid32, rng.uniform(0.8, 1.5), center=rng.uniform(-1, 1, 3)).density()
             r2 = gaussian_psi(grid32, rng.uniform(0.8, 1.5), center=rng.uniform(-1, 1, 3)).density()
-            d1 = ops.coulomb_energy(r1.values)
-            d2 = ops.coulomb_energy(r2.values)
-            d12 = ops.coulomb_energy(r1.values - r2.values)
+            d1 = ops.coulomb_energy(ops.fft_padded(r1.values))
+            d2 = ops.coulomb_energy(ops.fft_padded(r2.values))
+            d12 = ops.coulomb_energy(ops.fft_padded(r1.values - r2.values))
             assert abs(np.sqrt(d1) - np.sqrt(d2)) <= np.sqrt(d12) + 1e-10
 
     def test_potential_pairing_consistency(self, grid32):
@@ -203,7 +203,7 @@ class TestPrunedTransforms:
         assert SpectralOps.fft_padded(ops, values, out=out) is out
         assert np.array_equal(out, spec)
         phi = sfft.irfftn(ops.wk * spec, s=(npad,) * 3)[:n, :n, :n]
-        assert np.array_equal(SpectralOps.coulomb_potential(ops, values, spec_pad=spec), phi)
+        assert np.array_equal(SpectralOps.coulomb_potential(ops, spec), phi)
 
     def test_result_placed_when_scipy_returns_a_new_array(self, monkeypatch):
         # scipy documents overwrite_x only as "the input may be destroyed",
@@ -238,7 +238,7 @@ class TestWorkers:
         for workers in (1, -1):
             monkeypatch.setattr(spectral, "_workers", lambda m, w=workers: w)
             spec = ops.fft(psi)
-            out.append((spec, ops.ifft(spec), ops.coulomb_potential(psi**2)))
+            out.append((spec, ops.ifft(spec), ops.coulomb_potential(ops.fft_padded(psi**2))))
         for one, every in zip(*out):
             assert np.array_equal(one, every)
 

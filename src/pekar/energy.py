@@ -32,7 +32,7 @@ import numpy as np
 
 from .fields import Field3D, Grid3D, RadialField, RadialGrid
 from .radial import apply_kinetic_form, kinetic_form_coefficients, radial_coulomb_potential
-from .spectral import ops_for
+from .spectral import mirror_axes, ops_for
 
 
 @dataclass(frozen=True)
@@ -70,29 +70,41 @@ class ELResidual:
 
 
 class BoxFunctional:
-    """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb.
+    """E_V on the periodic box: spectral kinetic term, padded free-space Coulomb,
+    in the mirror class ``even``: the coordinates are the ``SpectralOps``
+    coefficients of ψ on the class's part of the box, the half x > 0 of each
+    even axis, whose cells weigh 2 per even axis.
 
     ``evaluate`` makes one n³ inverse for ψ, reads T from ψ̂, and computes Φ_ρ in
     the padded scratch, allocated once; ``residual`` makes two n³ forwards, ĥ =
     |k|²·FFT(ψ) - FFT((2Φ_ρ + V)ψ).  Transforms and ``inner`` are ``SpectralOps``'.
+    With no even axis the n³ transforms are rfftn of length n and the padded ones
+    of length 2n; an even axis has a DCT-II of length n/2 and n instead.
     """
 
-    def __init__(self, grid: Grid3D, V: Field3D | None = None):
+    def __init__(self, grid: Grid3D, V: Field3D | None = None, even: tuple = ()):
         if V is not None and V.grid != grid:
             raise ValueError("potential and wave function live on different grids")
         self.grid = grid
-        self.ops = ops_for(grid)
-        self.dv = grid.cell_volume
-        self.V = None if V is None else V.values
-        self._pad = None  # the padded half-spectrum, scratch of evaluate
-        self.to_coords, self.to_values = self.ops.fft, self.ops.ifft
+        self.ops = ops = ops_for(grid, even)
+        self.dv = grid.cell_volume * 2 ** len(even)
+        self.V = None if V is None else ops.fold(V.values)
+        self._pad = None  # the padded spectrum, scratch of evaluate
         # the gradient of residual is the L² one, so it pairs with a direction by inner
-        self.inner = self.pairing = self.ops.inner
+        self.inner = self.pairing = ops.inner
+
+    def to_coords(self, values: np.ndarray) -> np.ndarray:
+        return self.ops.fft(self.ops.fold(values))
+
+    def to_values(self, x: np.ndarray) -> np.ndarray:
+        """ψ on the whole box."""
+        return self.ops.unfold(self.ops.ifft(x))
 
     def evaluate(self, x: np.ndarray | None, values: np.ndarray | None = None) -> tuple:
-        """``values``, when given, is ψ itself, and x may then be None."""
+        """``values``, when given, is ψ on the whole box, and x may then be None;
+        the fields returned are the class's part."""
         ops = self.ops
-        psi = ops.ifft(x) if values is None else values
+        psi = ops.ifft(x) if values is None else ops.fold(values)
         T = ops.kinetic(ops.fft(psi) if x is None else x)
         rho = psi**2
         self._pad = ops.fft_padded(rho, out=self._pad)
@@ -102,7 +114,7 @@ class BoxFunctional:
 
     def residual(self, bd: EnergyBreakdown, fields: tuple) -> tuple:
         """μ = ⟨ψ, H_ψ ψ⟩, so bd is not read; the gradient is the L² one,
-        2(H_ψ - μ)ψ, as a half-spectrum."""
+        2(H_ψ - μ)ψ, in the coordinates."""
         psi, phi = fields
         w = 2 * phi if self.V is None else 2 * phi + self.V
         w *= psi
@@ -112,6 +124,12 @@ class BoxFunctional:
         mu = self.inner(spec, h)
         h -= mu * spec
         return ELResidual(float(np.sqrt(self.inner(h, h))), mu), 2 * h
+
+
+def box_functional(psi: Field3D, V: Field3D | None = None) -> BoxFunctional:
+    """The functional in the mirror class of ψ and V, as ``minimize`` picks it."""
+    fields = (psi.values,) if V is None else (psi.values, V.values)
+    return BoxFunctional(psi.grid, V, mirror_axes(*fields))
 
 
 class RadialFunctional:
@@ -185,7 +203,7 @@ def free_energy(psi: Field3D) -> float:
 
 def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
     """(breakdown, L² gradient 2·H_ψψ of the unconstrained functional)."""
-    F = BoxFunctional(psi.grid, V)
+    F = box_functional(psi, V)
     b, fields = F.evaluate(None, psi.values)
     el, g = F.residual(b, fields)
     return b, Field3D(psi.grid, F.to_values(g) + 2 * el.mu * psi.values)
@@ -193,7 +211,7 @@ def energy_gradient(psi: Field3D, V: Field3D | None = None) -> tuple:
 
 def el_residual(psi: Field3D, V: Field3D | None = None) -> ELResidual:
     """Residual of the mean-field eigenvalue equation at ψ, with Rayleigh μ."""
-    F = BoxFunctional(psi.grid, V)
+    F = box_functional(psi, V)
     return F.residual(*F.evaluate(None, psi.values))[0]
 
 

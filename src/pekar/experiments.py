@@ -150,7 +150,10 @@ def sweep_R(
     Q, and with it the seed and the trial bound, is solved on ``rgrid``.
     """
     free = solve_free(rgrid)
-    ops_for(grid)  # build the grid's operators once, before the threads share them
+    # build the operators once, before the threads share them: the full box's,
+    # the class of the x translates (y and z even) and of the lifted fallback
+    for even in ((), (1, 2), (0, 1, 2)):
+        ops_for(grid, even)
 
     def run_one(R: float) -> SweepRow:
         spec = PotentialSpec(kind="annular", R=R)

@@ -80,8 +80,10 @@ class Grid3D:
         return self.dx**3
 
     def axis(self) -> np.ndarray:
-        """Cell-center coordinates along one axis."""
-        return (np.arange(self.n) + 0.5) * self.dx - self.L / 2
+        """Cell-center coordinates along one axis, exactly antisymmetric:
+        axis[i] == -axis[n-1-i] on every grid, so a field built from x² or
+        |x| is exactly even about the centre."""
+        return (np.arange(self.n) + 0.5 - self.n / 2) * self.dx
 
     def meshgrid(self) -> tuple:
         x = self.axis()

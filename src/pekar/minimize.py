@@ -8,18 +8,29 @@ projected to the sphere tangent; Polak–Ribière+ adds the previous
 direction, moved to the new tangent space by projection, and the loop
 restarts from the preconditioned gradient whenever that sum would descend
 less than ``RESTART_C`` times as steeply (Antoine, Levitt & Tang, J. Comput.
-Phys. 343, 2017).  A step is taken only on Armijo sufficient decrease, each
+Phys. 343, 2017).  A step is taken on Armijo sufficient decrease, each
 rejected trial backtracking to the safeguarded minimizer of the parabola
 through E(0), E'(0) and the trial (Nocedal & Wright §3.5), so the energy
-history is non-increasing by construction.  Plain L² descent needs step
+history is non-increasing.  Near the minimum the decrease falls below E's
+rounding error: a trial whose energy change is within that level is taken
+on the approximate Wolfe conditions, read from the trial's gradient, and
+otherwise moved to the secant root of E'; the history is then
+non-increasing up to that level, ``ROUNDING``·(T + D + |P|).  Plain L² descent needs step
 sizes ~1/k_max² and ~1e4-1e5 iterations at working resolutions; the
 preconditioner removes that stiffness, and the CG directions take about
 2.5x fewer steps than preconditioned steepest descent.
 
-The box loop holds ψ̂.  A trial costs one n³ inverse (ψ, for ρ = ψ²) and
-a padded forward and inverse (Φ_ρ); a step's residual reads that Φ_ρ and
-costs two n³ forwards; a solve adds one forward and one inverse.  A solve
-reports why it stopped: ``converged``, ``max_iters`` or ``no_descent``
+The box loop holds ψ̂ in the seed's mirror class: on each axis where V and
+the seed are both even about the box centre (``spectral.mirror_axes``) it
+keeps the half axis, with DCT-II coefficients of length n/2 (n³ transforms)
+and n (padded); the last other axis takes an rfft of length n (padded 2n),
+and the rest full FFTs.  With no even axis that is the whole box's rfftn.
+Q translated along a lattice axis solves on a quarter of the box, the
+radial Gaussian seed on an eighth; diagonal and general seeds on all of it.
+A trial costs one n³ inverse (ψ, for ρ = ψ²) and a padded forward and
+inverse (Φ_ρ), and a trial judged on its gradient two n³ forwards more; a
+step's residual reads that Φ_ρ and costs two n³ forwards; a solve adds one
+forward and one inverse.  A solve reports why it stopped: ``converged``, ``max_iters`` or ``no_descent``
 (every one of ``MAX_BACKTRACKS`` trials rejected).
 """
 
@@ -36,6 +47,7 @@ from scipy.linalg import solveh_banded
 from .angular import radial_field
 from .energy import (
     BoxFunctional,
+    box_functional,
     ELResidual,
     EnergyBreakdown,
     RadialFunctional,
@@ -65,6 +77,11 @@ SAFEGUARD = (0.1, 0.5)  # bounds of a backtracked step, relative to the rejected
 # along a direction nearly orthogonal to the gradient no trial passes Armijo
 RESTART_C = 1e-2
 MAX_BACKTRACKS = 60  # rejected trials before the solve stops unconverged
+# E's rounding level, relative to T + D + |P|: a trial whose energy change is
+# within it is judged by the approximate Wolfe conditions E'(s) ∈ [-σ, 1 - 2δ]·slope
+# (Hager & Zhang, SIAM J. Optim. 16, 2005), from the trial's gradient
+ROUNDING = 64 * np.finfo(float).eps
+WOLFE = (0.1, 0.9)  # δ, σ
 
 
 @dataclass(frozen=True)
@@ -266,13 +283,23 @@ def _descend(F, seed: Union[Field3D, RadialField], opts: SolveOptions, precondit
         z_prev, gz_prev = z, gz
 
         s = step
+        eta = ROUNDING * (bd.kinetic + bd.coulomb + abs(bd.potential))
         for _ in range(MAX_BACKTRACKS):
             cand = x - s * p
-            cand /= np.sqrt(F.inner(cand, cand))
+            nu = np.sqrt(F.inner(cand, cand))
+            cand /= nu
             bd_t, fields_t = F.evaluate(cand)
             rise = bd_t.total - bd.total
             if rise <= -ARMIJO_C * s * slope:
                 break
+            if abs(rise) <= eta:  # E cannot tell: decide on E'(s) = -⟨g(s), p⟩/ν
+                dE = -F.pairing(F.residual(bd_t, fields_t)[1], p) / nu
+                if -WOLFE[1] * slope <= dE <= (1 - 2 * WOLFE[0]) * slope:
+                    break
+                # the root of the secant of E' through E'(0) = -slope and E'(s)
+                grow = slope / (slope + dE) if slope + dE > 0 else np.inf
+                s *= min(max(grow, SAFEGUARD[0]), 1 / SAFEGUARD[0])
+                continue
             # minimizer of the parabola through E(0), E'(0) = -slope and E(s)
             s_min = slope * s * s / (2 * (rise + slope * s))
             s = min(SAFEGUARD[1] * s, max(SAFEGUARD[0] * s, s_min))
@@ -303,7 +330,7 @@ def minimize(
 ) -> MinimizerResult:
     """Minimize E_V over ‖ψ‖₂ = 1 by monotone projected descent."""
     seed = normalize(seed_field) if seed_field is not None else build_seed(opts.seed, V.grid)
-    return _descend(BoxFunctional(V.grid, V), seed, opts, _spectral_direction)
+    return _descend(box_functional(seed, V), seed, opts, _spectral_direction)
 
 
 def minimize_radial(

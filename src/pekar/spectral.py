@@ -32,6 +32,7 @@ with n < 48 transform on one thread, which is faster there; larger ones on all c
 
 from __future__ import annotations
 
+import copy
 import functools
 import warnings
 
@@ -56,19 +57,72 @@ def _half_grid(n: int, dx: float) -> np.ndarray:
     return KX**2 + KY**2 + KZ**2
 
 
-def _full_vdot(a: np.ndarray, b: np.ndarray):
-    """Σ a*·b over the full spectrum of a real grid, from its rfft halves a and b."""
-    e = np.s_[..., :: a.shape[-1] - 1]  # kz = 0 and Nyquist, their own mirrors, count once
+def _rfft_axis(even: tuple):
+    """The axis the rfft halves: the last one that is not even, None if all are."""
+    return max((a for a in range(3) if a not in even), default=None)
+
+
+def _full_vdot(a: np.ndarray, b: np.ndarray, axis=2):
+    """Σ a*·b over the full spectrum of a real grid, from its halves a and b
+    along ``axis``, the rfft axis (None: no axis is halved)."""
+    if axis is None:
+        return np.vdot(a, b)
+    # the first and last planes (kz = 0 and Nyquist) are their own mirrors: count once
+    e = (slice(None),) * axis + (slice(None, None, a.shape[axis] - 1),)
     return 2 * np.vdot(a, b) - np.vdot(a[e], b[e])
 
 
+def _class_slice(full: np.ndarray, even: tuple) -> np.ndarray:
+    """The class's part of a cube-symmetric (m, m, m/2+1) rfft half-grid table:
+    the first m/2 indices of each even axis (DCT frequencies), the whole rfft
+    axis, taken from the table's last, and the whole of the other axes."""
+    m, r = len(full), _rfft_axis(even)
+    free = [0, 1] if r is not None else [0, 1, 2]
+    src = [2 if a == r else free.pop(0) for a in range(3)]  # table axis of each class axis
+    idx = [slice(None)] * 3
+    for a in even:
+        idx[src[a]] = slice(m // 2)
+    out = np.ascontiguousarray(full[tuple(idx)].transpose(src))
+    out.flags.writeable = False
+    return out
+
+
+def _padded_passes(even: tuple, n: int) -> tuple:
+    """(rfft axis, c2c axes, spectrum shape) of the padded transforms of the
+    class ``even``: n on an even axis, n + 1 on the rfft axis, 2n on the others."""
+    r = _rfft_axis(even)
+    c2c = [a for a in range(3) if a not in even and a != r]
+    return r, c2c, tuple(n if a in even else n + 1 if a == r else 2 * n for a in range(3))
+
+
+def _crop(axis: int, m: int) -> tuple:
+    return (slice(None),) * axis + (slice(m),)
+
+
+def mirror_axes(*fields: np.ndarray) -> tuple:
+    """The axes along which every field is exactly even about the box centre."""
+    return tuple(a for a in range(3) if all(np.array_equal(f, np.flip(f, a)) for f in fields))
+
+
 def memory_estimate(n: int) -> int:
-    """Bytes of an n³ box's k2 and wk (float64) and one padded half-spectrum (complex)."""
+    """Bytes of an n³ box's k2 and wk (float64) and one padded half-spectrum
+    (complex): the bound of a solve with no even axis, the largest class."""
     return 8 * n * n * (n // 2 + 1) + (8 + 16) * (2 * n) ** 2 * (n + 1)
 
 
 class SpectralOps:
-    """Per-grid FFT arrays, read-only, and the operations built on them."""
+    """Per-grid FFT arrays, read-only, and the operations built on them, for
+    one mirror class: the fields even about the centre along the axes ``even``.
+
+    ``ops_for(grid)`` is the full box (no even axis).  A class stores the half
+    x > 0 of each even axis (``fold``, ``unfold``); there its n³ transforms are
+    orthonormal DCT-II of length n/2, and its padded ones DCT-II of length n of
+    the zero-padded half (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038).
+    The rfft halves the last axis that is not even; the others keep the full
+    FFT.  Its k2 and wk are slices of the full box's.
+    """
+
+    even: tuple = ()
 
     def __init__(self, grid: Grid3D):
         self.grid = grid
@@ -81,82 +135,146 @@ class SpectralOps:
         wk[0, 0, 0] = 2 * np.pi * L**2
         self.k2.flags.writeable = wk.flags.writeable = False
 
+    def mirror(self, even: tuple) -> "SpectralOps":
+        """The operators of the class ``even``, from this full box's arrays."""
+        ops = copy.copy(self)
+        ops.even = even
+        ops.k2, ops.wk = _class_slice(self.k2, even), _class_slice(self.wk, even)
+        return ops
+
+    # -- the fundamental domain ---------------------------------------------
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """The half x > 0 of each even axis of a box field, contiguous."""
+        h = self.grid.n // 2
+        return np.ascontiguousarray(values[tuple(slice(h if a in self.even else 0, None)
+                                                 for a in range(3))])
+
+    def unfold(self, half: np.ndarray) -> np.ndarray:
+        """The box field whose ``fold`` is ``half``: each even axis mirrored."""
+        for a in self.even:
+            half = np.concatenate((np.flip(half, a), half), axis=a)
+        return half
+
     # -- transforms ---------------------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(values, workers=_workers(self.grid.n))
+        """The class coefficients of a folded field; real when every axis is even."""
+        w, rest = _workers(self.grid.n), [a for a in range(3) if a not in self.even]
+        if self.even:
+            values = sfft.dctn(values, axes=self.even, norm="ortho", workers=w)
+        return sfft.rfftn(values, axes=rest, workers=w) if rest else values
 
     def ifft(self, spec: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(spec, s=self.grid.shape, workers=_workers(self.grid.n))
+        n, w = self.grid.n, _workers(self.grid.n)
+        rest = [a for a in range(3) if a not in self.even]
+        if rest:
+            spec = sfft.irfftn(spec, s=[n] * len(rest), axes=rest, workers=w)
+        if self.even:
+            spec = sfft.idctn(spec, axes=self.even, norm="ortho", overwrite_x=bool(rest), workers=w)
+        return spec
 
     def fft_padded(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """rfftn of ``values`` zero-padded to npad³, written into ``out`` (an
-        npad×npad×(n+1) complex array, new when None) and returned.
+        """The spectrum of ``values`` zero-padded to its class's padded grid,
+        written into ``out`` (shaped as the kernel, new when None) and returned;
+        the axes of ``values`` that hold n/2 cells are the class's even axes.
 
-        The real padded array is never built, and each pass skips the lines
-        still known to be zero: the last axis runs on the n² nonzero lines,
-        axis 0 on the n nonzero columns out[:, :n], and axis 1 on the whole
-        array.  The two complex passes run in place, and in this order the
-        result equals rfftn of the padded array bit for bit; axis 1 on the
-        first n planes before axis 0 does not.  The first pass writes
-        straight into out[:n, :n], with no padded real copy.
+        The padded array is never built.  The rfft pass writes straight into
+        the box's corner of ``out``, with no padded real copy; then the c2c
+        passes of the other axes and the DCT-II passes (length n, of the
+        zero-padded half) of the even axes run in place, each skipping the
+        lines still known to be zero.  With no even axis: the last axis runs
+        on the n² nonzero lines, axis 0 on the n nonzero columns out[:, :n],
+        and axis 1 on the whole array; in this order the result equals rfftn
+        of the padded array bit for bit; axis 1 on the first n planes before
+        axis 0 does not.
         """
         n, npad = self.grid.n, self.npad
+        even = tuple(a for a in range(3) if values.shape[a] < n)  # the half axes
+        r, c2c, shape = _padded_passes(even, n)
         if out is None:
-            out = np.empty((npad, npad, n + 1), dtype=np.complex128)
-        np.fft.rfft(values, n=npad, axis=2, out=out[:n, :n])
-        out[n:, :n] = 0
-        out[:, n:] = 0
-        for a, axis in ((out[:, :n], 0), (out, 1)):
-            # scipy's c2c pass writes into a complex input under overwrite_x,
-            # but documents only that the input may be destroyed
-            r = sfft.fft(a, axis=axis, overwrite_x=True, workers=_workers(n))
-            if not np.shares_memory(r, a):
-                a[...] = r
+            out = np.empty(shape, dtype=float if r is None else complex)
+        box = tuple(slice(n // 2) if a in even else slice(n) if a in c2c else slice(None)
+                    for a in range(3))
+        if r is None:
+            out[box] = values
+        else:
+            np.fft.rfft(values, n=npad, axis=r, out=out[box])
+        passes = c2c + list(even)
+        for i, a in enumerate(passes):  # zero what lies beyond the box along a
+            zero = [slice(None) if b in passes[:i] else box[b] for b in range(3)]
+            zero[a] = slice(box[a].stop, None)
+            out[tuple(zero)] = 0
+        for i, a in enumerate(passes):
+            blk = out[tuple(slice(None) if b in passes[:i + 1] else box[b] for b in range(3))]
+            # scipy's passes write into the input under overwrite_x, but
+            # document only that the input may be destroyed
+            if a in even:
+                res = sfft.dct(blk, axis=a, norm="ortho", overwrite_x=True, workers=_workers(n))
+            else:
+                res = sfft.fft(blk, axis=a, overwrite_x=True, workers=_workers(n))
+            if not np.shares_memory(res, blk):
+                blk[...] = res
         return out
 
     # -- energies and operators ---------------------------------------------
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Σ u·v·dv of the real fields u, v whose rfft half-spectra are a, b (Parseval)."""
-        return float(_full_vdot(a, b).real * self.grid.cell_volume / self.grid.n**3)
+        """Σ u·v·dv over the box of the real fields u, v whose coefficients are
+        a, b (Parseval); each even axis weighs twice, for the mirrored half."""
+        e = len(self.even)
+        x = _full_vdot(a, b, _rfft_axis(self.even))
+        return float(x.real * (self.grid.cell_volume * 2**e) / self.grid.n ** (3 - e))
 
-    def _reduce(self, w: np.ndarray, spec: np.ndarray) -> float:
-        """Σ w·|ŝ|² · dx³/m³ over the full spectrum of an m³ grid, from its rfft
-        half a block of leading-axis planes at a time, so no temporary is full-size."""
-        step = max(1, _BLOCK // (spec.shape[1] * spec.shape[2]))
+    def _reduce(self, w: np.ndarray, spec: np.ndarray, m: int) -> float:
+        """Σ w·|ŝ|² · dx³/m³ over the full spectrum of an m³ grid, from the
+        class's coefficients, a block of planes at a time (along axis 0, or 1
+        when 0 is the rfft axis), so no temporary is full-size."""
+        e, r = len(self.even), _rfft_axis(self.even)
+        b = 1 if r == 0 else 0
+        step = max(1, _BLOCK * spec.shape[b] // spec.size)
         s = 0.0
-        for i in range(0, len(spec), step):
-            blk = spec[i:i + step]
-            p = blk.real**2
-            p += blk.imag**2
-            s += _full_vdot(w[i:i + step], p)
-        return float(self.grid.cell_volume / len(spec) ** 3 * s)
+        for i in range(0, spec.shape[b], step):
+            blk = (slice(None),) * b + (slice(i, i + step),)
+            c = spec[blk]
+            p = c.real**2
+            if np.iscomplexobj(c):
+                p += c.imag**2
+            s += _full_vdot(w[blk], p, r)
+        return float(self.grid.cell_volume * 2**e / m ** (3 - e) * s)
 
     def kinetic(self, spec: np.ndarray) -> float:
-        """∫ |∇ψ|² dx = Σ |k|² |ψ̂|², from the half-spectrum ψ̂ = ``fft(ψ)``."""
-        return self._reduce(self.k2, spec)
+        """∫ |∇ψ|² dx = Σ |k|² |ψ̂|², from the coefficients ψ̂ = ``fft(ψ)``."""
+        return self._reduce(self.k2, spec, self.grid.n)
 
     def coulomb_energy(self, spec_pad: np.ndarray) -> float:
         """D(ρ,ρ) = ∬ ρ(x) ρ(y)/|x-y| dx dy by the padded kernel, from ``fft_padded(ρ)``."""
-        return self._reduce(self.wk, spec_pad)
+        return self._reduce(self.wk, spec_pad, self.npad)
 
     def coulomb_potential(self, spec_pad: np.ndarray) -> np.ndarray:
-        """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the original box, from ``fft_padded(ρ)``.
+        """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the class's part of the box, from ``fft_padded(ρ)``.
 
         ``spec_pad`` is overwritten: ŵ·ŝ and the first inverse pass are
         computed in it, so no padded-size array is allocated.
         """
-        # pruned inverse: crop after each axis pass, so the later passes
-        # transform only the lines that reach the original box; the passes
-        # run unscaled and the 1/npad³ factor is applied once at the end,
-        # as irfftn does, which keeps the result bit-identical to it
+        # pruned inverse: the DCT-III of the even axes, the c2c passes and the
+        # inverse rfft, cropping after each pass, so the later passes transform
+        # only the lines that reach the box; the FFT passes run unscaled and
+        # their 1/npad factors are applied once at the end, as irfftn does,
+        # which keeps the full box's result bit-identical to it
         n, npad = self.grid.n, self.npad
+        even = tuple(a for a in range(3) if spec_pad.shape[a] == n)
+        r, c2c, _ = _padded_passes(even, n)
         t = np.multiply(self.wk, spec_pad, out=spec_pad)
-        t = sfft.ifft(t, axis=0, norm="forward", overwrite_x=True, workers=_workers(n))
-        t = sfft.ifft(t[:n], axis=1, norm="forward", overwrite_x=True, workers=_workers(n))
-        phi = sfft.irfft(t[:, :n], n=npad, axis=2, norm="forward", workers=_workers(n))
-        return phi[:, :, :n] * (1.0 / npad**3)
+        for a in even:
+            t = sfft.idct(t, axis=a, norm="ortho", overwrite_x=True, workers=_workers(n))
+            t = t[_crop(a, n // 2)]
+        for a in c2c:
+            t = sfft.ifft(t, axis=a, norm="forward", overwrite_x=True, workers=_workers(n))
+            t = t[_crop(a, n)]
+        if r is not None:
+            t = sfft.irfft(t, n=npad, axis=r, norm="forward", workers=_workers(n))[_crop(r, n)]
+        return t * (1.0 / npad ** (3 - len(even)))
 
     def neg_laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Δ by a round trip; a test reference, which the benchmark's tracer patches."""
@@ -171,10 +289,16 @@ class SpectralOps:
         return float((np.sum(rho) - np.sum(rho[2:-2, 2:-2, 2:-2])) * self.grid.cell_volume)
 
 
+def ops_for(grid: Grid3D, even: tuple = ()) -> SpectralOps:
+    """The one SpectralOps of ``grid`` and the mirror class ``even``; every
+    caller on that grid and class shares it.  A class's arrays are slices of
+    the full box's, so the full box's are built first."""
+    return _ops_for(grid, tuple(even))
+
+
 @functools.cache
-def ops_for(grid: Grid3D) -> SpectralOps:
-    """The one SpectralOps of ``grid``; every caller on that grid shares it."""
-    return SpectralOps(grid)
+def _ops_for(grid: Grid3D, even: tuple) -> SpectralOps:
+    return _ops_for(grid, ()).mirror(even) if even else SpectralOps(grid)
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,18 @@ class TestGrid3D:
         assert ax[0] == pytest.approx(-g.L / 2 + g.dx / 2)
         np.testing.assert_allclose(ax, -ax[::-1], atol=1e-15)
 
+    def test_cell_centres_exactly_antisymmetric(self):
+        # dx = 5/6 is not binary: (i + 1/2)·dx - L/2 missed the mirror by 3.6e-15,
+        # so a translate along x was not exactly even in y and z
+        from pekar import solve_free, translate_seed
+
+        g = Grid3D(48, 40.0)
+        ax = g.axis()
+        assert np.array_equal(ax, -ax[::-1])
+        seed = translate_seed(solve_free(RadialGrid(256, 16.0)).psi, 6.0, g).values
+        assert np.array_equal(seed, seed[:, ::-1]) and np.array_equal(seed, seed[:, :, ::-1])
+        assert not np.array_equal(seed, seed[::-1])
+
     @pytest.mark.parametrize("n,L", [(6, 8.0), (9, 8.0), (16, 0.0), (16, -2.0)])
     def test_invalid_parameters_rejected(self, n, L):
         with pytest.raises(ValueError):

@@ -301,3 +301,65 @@ class TestFreeSpaceAccuracy:
         # D = 2·(1/4)·D_self + 2·(1/4)·q_pair/d with q=1 blobs
         cross = D - 0.5 * D_self
         assert cross == pytest.approx(0.5 / d, rel=1e-6)
+
+
+CLASSES = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+class TestMirrorClasses:
+    """A class keeps the half x > 0 of each even axis; its transforms must
+    give the full box's energies and Φ_ρ, to rounding."""
+
+    @staticmethod
+    def even_field(g, even, seed=0):
+        v = smooth_random_psi(g, np.random.default_rng(seed)).values
+        for a in even:
+            v = v + np.flip(v, a)
+        return v
+
+    @pytest.mark.parametrize("even", CLASSES, ids=str)
+    def test_class_matches_the_full_box(self, even):
+        g = Grid3D(32, 20.0)
+        full, ops = ops_for(g), ops_for(g, even)
+        u, v = self.even_field(g, even, 1), self.even_field(g, even, 2)
+        assert spectral.mirror_axes(u, v) == even
+        half = ops.fold(u)
+        assert half.shape == tuple(16 if a in even else 32 for a in range(3))
+        assert np.array_equal(ops.unfold(half), u)
+        a, b = ops.fft(half), ops.fft(ops.fold(v))
+        assert np.iscomplexobj(a) == (len(even) < 3)
+        assert np.abs(ops.ifft(a) - half).max() <= 1e-15 * np.abs(half).max()
+        fa, fb = full.fft(u), full.fft(v)
+        assert ops.inner(a, b) == pytest.approx(full.inner(fa, fb), rel=1e-13)
+        assert ops.kinetic(a) == pytest.approx(full.kinetic(fa), rel=1e-13)
+        pad, fpad = ops.fft_padded(half**2), full.fft_padded(u**2)
+        assert ops.coulomb_energy(pad) == pytest.approx(full.coulomb_energy(fpad), rel=1e-13)
+        phi, fphi = ops.coulomb_potential(pad), full.coulomb_potential(fpad)
+        assert np.abs(ops.unfold(phi) - fphi).max() <= 1e-14 * np.abs(fphi).max()
+        # the padded spectrum has the kernel's shape, and the scratch is reused
+        out = np.full(ops.wk.shape, np.nan, dtype=pad.dtype)
+        assert ops.fft_padded(half**2, out=out) is out
+        assert np.array_equal(out, ops.fft_padded(half**2))
+
+    @pytest.mark.parametrize("even", CLASSES, ids=str)
+    def test_class_arrays_are_slices_of_the_full_box(self, even):
+        g = Grid3D(16, 10.0)
+        full, ops = ops_for(g), ops_for(g, even)
+        assert ops_for(g, even) is ops and ops.npad == full.npad == 32
+        # each entry is the full table's value at the same |k|² label
+        for mine, whole, m in ((ops.k2, full.k2, 16), (ops.wk, full.wk, 32)):
+            assert not mine.flags.writeable
+            assert np.isin(mine, whole).all()
+            assert mine.shape == tuple(m // 2 if a in even else m // 2 + 1
+                                       if a == max(set(range(3)) - set(even), default=None)
+                                       else m for a in range(3))
+
+    def test_no_even_axis_is_the_full_box(self, grid32):
+        assert ops_for(grid32, ()) is ops_for(grid32)
+        assert ops_for(grid32).even == ()
+
+    def test_mirror_axes_needs_exact_symmetry(self, grid32):
+        v = self.even_field(grid32, (0, 1, 2))
+        assert spectral.mirror_axes(v) == (0, 1, 2)
+        v[0] = np.nextafter(v[0], np.inf)  # one ulp on the plane x = -L/2 + dx/2
+        assert spectral.mirror_axes(v) == (1, 2)

@@ -15,10 +15,10 @@ history is non-increasing.  Near the minimum the decrease falls below E's
 rounding error: a trial whose energy change is within that level is taken
 on the approximate Wolfe conditions, read from the trial's gradient, and
 otherwise moved to the secant root of E'; the history is then
-non-increasing up to that level, ``ROUNDING``·(T + D + |P|).  Plain L² descent needs step
-sizes ~1/k_max² and ~1e4-1e5 iterations at working resolutions; the
-preconditioner removes that stiffness, and the CG directions take about
-2.5x fewer steps than preconditioned steepest descent.
+non-increasing up to that level, ``ROUNDING``·(T + D + |P|).  Plain L²
+descent needs step sizes ~1/k_max² and ~1e4-1e5 iterations at working
+resolutions; the preconditioner removes that stiffness, and the CG
+directions take about 2.5x fewer steps than preconditioned steepest descent.
 
 The box loop holds ψ̂ in the seed's mirror class: on each axis where V and
 the seed are both even about the box centre (``spectral.mirror_axes``) it
@@ -30,8 +30,8 @@ radial Gaussian seed on an eighth; diagonal and general seeds on all of it.
 A trial costs one n³ inverse (ψ, for ρ = ψ²) and a padded forward and
 inverse (Φ_ρ), and a trial judged on its gradient two n³ forwards more; a
 step's residual reads that Φ_ρ and costs two n³ forwards; a solve adds one
-forward and one inverse.  A solve reports why it stopped: ``converged``, ``max_iters`` or ``no_descent``
-(every one of ``MAX_BACKTRACKS`` trials rejected).
+forward and one inverse.  A solve reports why it stopped: ``converged``,
+``max_iters`` or ``no_descent`` (every one of ``MAX_BACKTRACKS`` trials rejected).
 """
 
 from __future__ import annotations

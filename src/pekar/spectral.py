@@ -28,6 +28,20 @@ padded array.  The inverse multiplies ŵ into that spectrum and crops after
 each axis pass.  The solver's functional (``pekar.energy``) turns each one
 into Φ_ρ at once and holds its iterate as the n³ half-spectrum ψ̂.  Grids
 with n < 48 transform on one thread, which is faster there; larger ones on all cores.
+
+A field even about the box centre along some axes lies in a mirror class,
+and ``ops_for(grid, even)`` transforms only its fundamental domain, the half
+x > 0 of each even axis.  Per axis, the n³ transforms and the padded ones are
+
+    even axis:              DCT-II (orthonormal), length n/2    length n, of the zero-padded half
+    last axis not even:     rfft, length n                      length 2n
+    other axes:             FFT, length n                       length 2n
+
+With no even axis this is the full box above.  The padded DCT-II is the
+2n-periodic FFT of the half-sample-symmetric extension, so the kernel ŵ, even
+in each axis, multiplies it and a DCT-III inverts it (Martucci, IEEE Trans.
+Signal Process. 42 (1994) 1038).  Orthonormal DCTs keep Parseval's weights
+uniform: each even axis counts its half twice.
 """
 
 from __future__ import annotations
@@ -293,7 +307,7 @@ def ops_for(grid: Grid3D, even: tuple = ()) -> SpectralOps:
     """The one SpectralOps of ``grid`` and the mirror class ``even``; every
     caller on that grid and class shares it.  A class's arrays are slices of
     the full box's, so the full box's are built first."""
-    return _ops_for(grid, tuple(even))
+    return _ops_for(grid, tuple(sorted(even)))
 
 
 @functools.cache

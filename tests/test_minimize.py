@@ -283,8 +283,7 @@ class TestStopReason:
         assert res.stop == "no_descent" and not res.converged
         assert res.iterations == 0
 
-    # ROADMAP item 4: each of these stopped no_descent near 1e-8 while the line
-    # search judged trials on E alone, whose rounding hides the decrease there
+    # ROADMAP item 4: near a residual of 1e-8, E's rounding hides the decrease
     @pytest.mark.parametrize(
         "seed", [SeedSpec(), SeedSpec(kind="translated_q", R=8.0)], ids=lambda s: s.kind
     )

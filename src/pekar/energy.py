@@ -11,7 +11,9 @@ with μ the Rayleigh quotient ⟨ψ, H_ψ ψ⟩.
 
 The descent loop reads both discrete functionals, ``BoxFunctional`` and
 ``RadialFunctional``, through one contract on each one's coordinates x,
-the rfft half-spectrum ψ̂ in the box and the nodal values on the radial grid:
+the spectral coefficients ψ̂ of the solve's mirror class in the box (the rfft
+half-spectrum of the whole box when no axis is even; see ``pekar.spectral``
+for each class's transform lengths) and the nodal values on the radial grid:
 
 - ``to_coords(values)``, ``to_values(x)``: the maps between ψ and x;
 - ``inner(a, b)``: the L² inner product, of coordinates (``SpectralOps.inner`` in the box);

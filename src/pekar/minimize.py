@@ -328,8 +328,10 @@ def minimize(
     opts: SolveOptions = SolveOptions(),
     seed_field: Optional[Field3D] = None,
 ) -> MinimizerResult:
-    """Minimize E_V over ‖ψ‖₂ = 1 by monotone projected descent."""
-    seed = normalize(seed_field) if seed_field is not None else build_seed(opts.seed, V.grid)
+    """Minimize E_V over ‖ψ‖₂ = 1 by monotone projected descent.  The seed,
+    ``seed_field`` or the one ``opts.seed`` describes, is normalized here once,
+    so equal seed arrays give equal solves."""
+    seed = normalize(build_seed(opts.seed, V.grid) if seed_field is None else seed_field)
     return _descend(box_functional(seed, V), seed, opts, _spectral_direction)
 
 
@@ -338,9 +340,10 @@ def minimize_radial(
     opts: SolveOptions = SolveOptions(),
     seed_field: Optional[RadialField] = None,
 ) -> MinimizerResult:
-    """Same descent scheme in the radial discretization (Newton Coulomb)."""
+    """Same descent scheme in the radial discretization (Newton Coulomb), with
+    the seed normalized as in ``minimize``."""
     rgrid = Vr.grid
-    seed = normalize(seed_field) if seed_field is not None else build_radial_seed(opts.seed, rgrid)
+    seed = normalize(build_radial_seed(opts.seed, rgrid) if seed_field is None else seed_field)
     return _descend(RadialFunctional(rgrid, Vr), seed, opts, _banded_direction)
 
 

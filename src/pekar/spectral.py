@@ -33,15 +33,25 @@ A field even about the box centre along some axes lies in a mirror class,
 and ``ops_for(grid, even)`` transforms only its fundamental domain, the half
 x > 0 of each even axis.  Per axis, the n³ transforms and the padded ones are
 
-    even axis:              DCT-II (orthonormal), length n/2    length n, of the zero-padded half
-    last axis not even:     rfft, length n                      length 2n
-    other axes:             FFT, length n                       length 2n
+                        n³                  padded              padded as a matrix
+    even axis:          DCT-II, length n/2  DCT-II, length n    n × n/2, inverse n/2 × n
+    last axis not even: rfft, length n      rfft, length 2n     (2n+2) × n, inverse n × (2n+2)
+    other axes:         FFT, length n       FFT, length 2n      none with two even axes
 
-With no even axis this is the full box above.  The padded DCT-II is the
-2n-periodic FFT of the half-sample-symmetric extension, so the kernel ŵ, even
-in each axis, multiplies it and a DCT-III inverts it (Martucci, IEEE Trans.
-Signal Process. 42 (1994) 1038).  Orthonormal DCTs keep Parseval's weights
-uniform: each even axis counts its half twice.
+With no even axis this is the full box above.  The DCTs are orthonormal, and
+the padded DCT-II is that of the zero-padded half.  It is the 2n-periodic FFT
+of the half-sample-symmetric extension, so the kernel ŵ, even in each axis,
+multiplies it and a DCT-III inverts it (Martucci, IEEE Trans. Signal Process.
+42 (1994) 1038).  Orthonormal DCTs keep Parseval's weights uniform: each even
+axis counts its half twice.
+
+A class with two or three even axes on a grid with n < 128 applies each
+padded pass as one precomputed real matrix on BLAS (sum factorization,
+Orszag, J. Comput. Phys. 37 (1980) 70): at these short, half-zero lengths
+a GEMM beats the pruned FFT passes, and from n = 128 on it does not (the
+measured crossover, ``BENCH_dense.json``).  The rfft matrix stacks the real
+parts over the imaginary ones, so every product is real.  The inverse
+crops inside its matrices, and its 1/2n scale is in the rfft one.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from scipy import fft as sfft
 from .fields import BoundarySupportWarning, Field3D, Grid3D
 
 _BLOCK = 1 << 15  # spectrum entries per block of a reduction, cache-sized
+_DENSE_BELOW = 128  # measured crossover of the per-axis matrices (BENCH_dense.json)
 
 
 def _workers(n: int) -> int:
@@ -101,6 +112,40 @@ def _class_slice(full: np.ndarray, even: tuple) -> np.ndarray:
     return out
 
 
+def _dense(n: int, even: tuple) -> bool:
+    """Whether the padded pair of the class ``even`` on an n³ box runs as
+    per-axis matrices on BLAS: two or three even axes, n below the crossover."""
+    return len(even) >= 2 and n < _DENSE_BELOW
+
+
+@functools.cache
+def _axis_matrices(n: int) -> tuple:
+    """The padded passes of an n³ box as real matrices, read-only, built by
+    applying the FFT passes to identity columns: the DCT-II of length n of
+    the zero-padded half (n × n/2) and its inverse, DCT-III then the crop
+    (n/2 × n); the rfft of length 2n of n samples, real parts stacked over
+    imaginary parts ((2n+2) × n), and its inverse, irfft then the crop, on
+    those stacked parts (n × (2n+2))."""
+    eye, h = np.eye(n), n // 2
+    rfft = np.fft.rfft(eye, n=2 * n, axis=0)
+    parts = np.hstack((np.eye(n + 1), 1j * np.eye(n + 1)))
+    mats = (sfft.dct(eye[:, :h], axis=0, norm="ortho"), sfft.idct(eye, axis=0, norm="ortho")[:h],
+            np.vstack((rfft.real, rfft.imag)), np.fft.irfft(parts, n=2 * n, axis=0)[:n])
+    for m in mats:
+        m.flags.writeable = False
+    return mats
+
+
+def _along(m: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """m applied to every line of the 3D array t along ``axis``: one GEMM on
+    the first or the last axis, one per plane of axis 0 on the middle one."""
+    if axis == 0:
+        return (m @ t.reshape(len(t), -1)).reshape((len(m),) + t.shape[1:])
+    if axis == 2:
+        return (t.reshape(-1, t.shape[2]) @ m.T).reshape(t.shape[:2] + (len(m),))
+    return np.matmul(m, t)
+
+
 def _padded_passes(even: tuple, n: int) -> tuple:
     """(rfft axis, c2c axes, spectrum shape) of the padded transforms of the
     class ``even``: n on an even axis, n + 1 on the rfft axis, 2n on the others."""
@@ -133,10 +178,16 @@ class SpectralOps:
     orthonormal DCT-II of length n/2, and its padded ones DCT-II of length n of
     the zero-padded half (Martucci, IEEE Trans. Signal Process. 42 (1994) 1038).
     The rfft halves the last axis that is not even; the others keep the full
-    FFT.  Its k2 and wk are slices of the full box's.
+    FFT.  Its k2 and wk hold the full box's values on the class's frequencies,
+    as contiguous copies, transposed so that its rfft axis takes the tables'
+    last, which keep ŵ·ŝ contiguous.  At n = 128 a class with two or three even
+    axes copies 16.9 MB of ŵ and 2.1 MB of k², one with y or z even 33.8 and
+    4.3 MB; only the class (0,), the tables' leading block, shares their memory.
+    ``dense`` holds the padded passes' matrices when ``_dense`` is true.
     """
 
     even: tuple = ()
+    dense = None
 
     def __init__(self, grid: Grid3D):
         self.grid = grid
@@ -150,10 +201,13 @@ class SpectralOps:
         self.k2.flags.writeable = wk.flags.writeable = False
 
     def mirror(self, even: tuple) -> "SpectralOps":
-        """The operators of the class ``even``, from this full box's arrays."""
+        """The operators of the class ``even``, from this full box's arrays,
+        with the padded passes' matrices below the crossover."""
         ops = copy.copy(self)
         ops.even = even
         ops.k2, ops.wk = _class_slice(self.k2, even), _class_slice(self.wk, even)
+        if _dense(self.grid.n, even):
+            ops.dense = _axis_matrices(self.grid.n)
         return ops
 
     # -- the fundamental domain ---------------------------------------------
@@ -201,13 +255,16 @@ class SpectralOps:
         on the n² nonzero lines, axis 0 on the n nonzero columns out[:, :n],
         and axis 1 on the whole array; in this order the result equals rfftn
         of the padded array bit for bit; axis 1 on the first n planes before
-        axis 0 does not.
+        axis 0 does not.  A class with two or three even axes below the
+        crossover takes the matrix passes instead (the module docstring).
         """
         n, npad = self.grid.n, self.npad
         even = tuple(a for a in range(3) if values.shape[a] < n)  # the half axes
         r, c2c, shape = _padded_passes(even, n)
         if out is None:
             out = np.empty(shape, dtype=float if r is None else complex)
+        if _dense(n, even) and self.dense is not None:
+            return self._dense_forward(values, even, out)
         box = tuple(slice(n // 2) if a in even else slice(n) if a in c2c else slice(None)
                     for a in range(3))
         if r is None:
@@ -268,8 +325,9 @@ class SpectralOps:
     def coulomb_potential(self, spec_pad: np.ndarray) -> np.ndarray:
         """Φ_ρ(x) = ∫ ρ(y)/|x-y| dy on the class's part of the box, from ``fft_padded(ρ)``.
 
-        ``spec_pad`` is overwritten: ŵ·ŝ and the first inverse pass are
-        computed in it, so no padded-size array is allocated.
+        ``spec_pad`` may be overwritten: on the FFT passes ŵ·ŝ and the first
+        inverse pass are computed in it, so no padded-size array is allocated;
+        the matrix passes with an rfft axis allocate ŵ·Re and ŵ·Im instead.
         """
         # pruned inverse: the DCT-III of the even axes, the c2c passes and the
         # inverse rfft, cropping after each pass, so the later passes transform
@@ -278,6 +336,8 @@ class SpectralOps:
         # which keeps the full box's result bit-identical to it
         n, npad = self.grid.n, self.npad
         even = tuple(a for a in range(3) if spec_pad.shape[a] == n)
+        if _dense(n, even) and self.dense is not None:
+            return self._dense_inverse(spec_pad, even)
         r, c2c, _ = _padded_passes(even, n)
         t = np.multiply(self.wk, spec_pad, out=spec_pad)
         for a in even:
@@ -289,6 +349,41 @@ class SpectralOps:
         if r is not None:
             t = sfft.irfft(t, n=npad, axis=r, norm="forward", workers=_workers(n))[_crop(r, n)]
         return t * (1.0 / npad ** (3 - len(even)))
+
+    # the padded pair of a class with two or three even axes below the
+    # crossover: each axis pass is one real matrix (sum factorization).  The
+    # rfft axis runs on the smallest array, first in the forward and last in
+    # the inverse, its real and imaginary parts stacked along it, so the even
+    # axes transform both parts in one product: 2n⁴ multiply-adds a transform,
+    # against 2.75n⁴ with the rfft axis on the largest array.
+
+    def _dense_forward(self, values: np.ndarray, even: tuple, out: np.ndarray) -> np.ndarray:
+        dct, _, rfft, _ = self.dense
+        r = _rfft_axis(even)
+        t = values if r is None else _along(rfft, values, r)
+        for a in even:
+            t = _along(dct, t, a)
+        if r is None:
+            out[...] = t
+        else:
+            out.real, out.imag = np.split(t, 2, axis=r)
+        return out
+
+    def _dense_inverse(self, spec_pad: np.ndarray, even: tuple) -> np.ndarray:
+        _, idct, _, irfft = self.dense
+        r = _rfft_axis(even)
+        if r is None:
+            t = np.multiply(self.wk, spec_pad, out=spec_pad)
+        else:  # ŵ·Re stacked over ŵ·Im: real products only
+            shape = list(spec_pad.shape)
+            shape[r] *= 2
+            t = np.empty(shape)
+            re, im = np.split(t, 2, axis=r)
+            np.multiply(self.wk, spec_pad.real, out=re)
+            np.multiply(self.wk, spec_pad.imag, out=im)
+        for a in even:
+            t = _along(idct, t, a)
+        return t if r is None else _along(irfft, t, r)
 
     def neg_laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Δ by a round trip; a test reference, which the benchmark's tracer patches."""
@@ -305,8 +400,9 @@ class SpectralOps:
 
 def ops_for(grid: Grid3D, even: tuple = ()) -> SpectralOps:
     """The one SpectralOps of ``grid`` and the mirror class ``even``; every
-    caller on that grid and class shares it.  A class's arrays are slices of
-    the full box's, so the full box's are built first."""
+    caller on that grid and class shares it.  A class's k2 and wk are copied
+    from the full box's, so the full box's are built first, and its matrices
+    (``dense``) are built once per n."""
     return _ops_for(grid, tuple(sorted(even)))
 
 

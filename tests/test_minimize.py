@@ -29,6 +29,7 @@ from pekar import (
 from pekar.angular import _shell_index
 from pekar.energy import BoxFunctional
 from pekar.experiments import center_of_mass, perturbed_energy
+from pekar.minimize import build_radial_seed, build_seed
 from pekar.potentials import PotentialSpec
 from pekar.spectral import SpectralOps
 
@@ -442,6 +443,34 @@ class TestSeedOnAnotherGrid:
         Vr = RadialField(rg, np.zeros(rg.m))
         with pytest.raises(ValueError, match="different grids"):
             minimize_radial(Vr, SolveOptions(max_iters=3), seed_field=flat_seed(RadialGrid(256, 10.0)))
+
+
+class TestSeedNormalizedOnce:
+    """The solvers normalize the seed once, whichever way it arrives, so the
+    seed a spec describes and the same array passed as ``seed_field`` give
+    one solve."""
+
+    @pytest.mark.parametrize("spec, L", [(SeedSpec(kind="radial_gaussian", sigma=2.0), 16.0),
+                                         (SeedSpec(kind="translated_q", R=8.0), 40.0)],
+                             ids=["radial_gaussian", "translated_q"])
+    def test_box_seed_paths_give_one_solve(self, spec, L):
+        # the free Gaussian of _box_free and the R=8 well of _box_well_R8
+        g = Grid3D(32, L)
+        V = Field3D(g, np.zeros(g.shape)) if spec.R is None else PotentialSpec(kind="annular", R=8.0).build(g)
+        by_spec = minimize(V, replace(FAST, seed=spec))
+        by_field = minimize(V, FAST, seed_field=build_seed(spec, g))
+        assert by_spec.converged
+        assert np.array_equal(by_spec.history, by_field.history)
+
+    @pytest.mark.parametrize("kind", ["radial_gaussian", "translated_q"])
+    def test_radial_seed_paths_give_one_solve(self, kind):
+        rg = RadialGrid(1024, 20.0)
+        Vr = PotentialSpec(kind="annular", R=6.0).build_radial(rg)
+        spec = SeedSpec(kind=kind, R=6.0)
+        by_spec = minimize_radial(Vr, replace(FAST, seed=spec))
+        by_field = minimize_radial(Vr, FAST, seed_field=build_radial_seed(spec, rg))
+        assert by_spec.converged
+        assert np.array_equal(by_spec.history, by_field.history)
 
 
 def test_cg_restarts_off_a_direction_nearly_orthogonal_to_the_gradient():

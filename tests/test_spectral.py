@@ -1,6 +1,7 @@
 import os
 import time
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,10 @@ from pekar import spectral
 from pekar.spectral import SpectralOps, ops_for
 
 from conftest import ball_density, gaussian_psi, smooth_random_psi
+
+
+# the mirror classes: the axes along which a field is even about the box centre
+CLASSES = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
 def gaussian_kinetic_oracle(sigma: float) -> float:
@@ -246,6 +251,40 @@ class TestWorkers:
         assert spectral._workers(32) == spectral._workers(40) == 1
         assert spectral._workers(48) == spectral._workers(128) == -1
 
+    @pytest.mark.parametrize("even", CLASSES, ids=str)
+    def test_padded_pairs_run_as_matrices_below_the_crossover(self, even, monkeypatch):
+        # two or more even axes below n = 128: per-axis matrices, no FFT
+        # pass; one even axis, or n at the crossover: the pruned FFT passes
+        assert spectral._dense(126, even) == (len(even) >= 2)
+        assert not spectral._dense(128, even)
+        calls = Counter()
+
+        class CountingFFT:
+            def __getattr__(self, name):
+                return getattr(sfft, name)
+
+            @staticmethod
+            def dct(*a, **kw):
+                calls["dct"] += 1
+                return sfft.dct(*a, **kw)
+
+            @staticmethod
+            def fft(*a, **kw):
+                calls["fft"] += 1
+                return sfft.fft(*a, **kw)
+
+        g = Grid3D(32, 20.0)
+        ops = ops_for(g, even)
+        half = ops.fold(TestMirrorClasses.even_field(g, even))
+        monkeypatch.setattr(spectral, "sfft", CountingFFT())
+        for below in (spectral._DENSE_BELOW, g.n):  # as built, then with n at the crossover
+            monkeypatch.setattr(spectral, "_DENSE_BELOW", below)
+            calls.clear()
+            ops.coulomb_potential(ops.fft_padded(half))
+            fft_passes = len(even) < 2 or below == g.n
+            assert (calls["dct"] > 0) == fft_passes
+            assert (calls["fft"] > 0) == (fft_passes and len(even) < 2)
+
 
 class TestLatticeInvariance:
     def test_translation_invariance_whole_cells(self, grid32):
@@ -303,9 +342,6 @@ class TestFreeSpaceAccuracy:
         assert cross == pytest.approx(0.5 / d, rel=1e-6)
 
 
-CLASSES = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-
-
 class TestMirrorClasses:
     """A class keeps the half x > 0 of each even axis; its transforms must
     give the full box's energies and Φ_ρ, to rounding."""
@@ -353,6 +389,24 @@ class TestMirrorClasses:
             assert mine.shape == tuple(m // 2 if a in even else m // 2 + 1
                                        if a == max(set(range(3)) - set(even), default=None)
                                        else m for a in range(3))
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    @pytest.mark.parametrize("even", [c for c in CLASSES if len(c) >= 2], ids=str)
+    def test_matrix_passes_match_the_fft_passes(self, even, n, monkeypatch):
+        g = Grid3D(n, 20.0)
+        ops = ops_for(g, even)
+        assert ops.dense is not None and not any(m.flags.writeable for m in ops.dense)
+        half = ops.fold(self.even_field(g, even, n))
+        rho = half**2
+        out = np.full(ops.wk.shape, np.nan, dtype=complex if len(even) < 3 else float)
+        assert ops.fft_padded(rho, out=out) is out  # every entry written: NaN would show
+        dense = (out, ops.coulomb_energy(out), ops.coulomb_potential(out.copy()))
+        monkeypatch.setattr(spectral, "_dense", lambda m, e: False)
+        spec = ops.fft_padded(rho)
+        fft = (spec, ops.coulomb_energy(spec), ops.coulomb_potential(spec.copy()))
+        assert np.abs(dense[0] - fft[0]).max() <= 1e-14 * np.abs(fft[0]).max()
+        assert dense[1] == pytest.approx(fft[1], rel=1e-13)
+        assert np.abs(dense[2] - fft[2]).max() <= 1e-14 * np.abs(fft[2]).max()
 
     def test_no_even_axis_is_the_full_box(self, grid32):
         assert ops_for(grid32, ()) is ops_for(grid32)

@@ -48,10 +48,11 @@ axis counts its half twice.
 A class with two or three even axes on a grid with n < 128 applies each
 padded pass as one precomputed real matrix on BLAS (sum factorization,
 Orszag, J. Comput. Phys. 37 (1980) 70): at these short, half-zero lengths
-a GEMM beats the pruned FFT passes, and from n = 128 on it does not (the
-measured crossover, ``BENCH_dense.json``).  The rfft matrix stacks the real
-parts over the imaginary ones, so every product is real.  The inverse
-crops inside its matrices, and its 1/2n scale is in the rfft one.
+a GEMM beats the pruned FFT passes, and at n = 128 the classes with two even
+axes break even (the measured crossover, ``BENCH_dense.json``), so from there
+on they keep the FFT passes.  The rfft matrix stacks the real parts over the
+imaginary ones, so every product is real.  The inverse crops inside its
+matrices, and its 1/2n scale is in the rfft one.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class SpectralOps:
         r, c2c, shape = _padded_passes(even, n)
         if out is None:
             out = np.empty(shape, dtype=float if r is None else complex)
-        if _dense(n, even) and self.dense is not None:
+        if _dense(n, even) and self.dense is not None:  # the full box has no matrices
             return self._dense_forward(values, even, out)
         box = tuple(slice(n // 2) if a in even else slice(n) if a in c2c else slice(None)
                     for a in range(3))
@@ -336,7 +337,7 @@ class SpectralOps:
         # which keeps the full box's result bit-identical to it
         n, npad = self.grid.n, self.npad
         even = tuple(a for a in range(3) if spec_pad.shape[a] == n)
-        if _dense(n, even) and self.dense is not None:
+        if _dense(n, even) and self.dense is not None:  # the full box has no matrices
             return self._dense_inverse(spec_pad, even)
         r, c2c, _ = _padded_passes(even, n)
         t = np.multiply(self.wk, spec_pad, out=spec_pad)

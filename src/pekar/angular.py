@@ -13,11 +13,13 @@ hold to rounding rather than to interpolation accuracy.  Its shell index
 lives on the half-slab x > 0, y > 0, since mirroring x or y keeps every
 shell: n³/4 entries (4.2 MB at 128³), built once per grid from a
 label-count table without a sort, with one radius per shell.  It has
-three users: ``shell_project`` and ``shell_profile`` add the four mirror
+four users: ``shell_project`` and ``shell_profile`` add the four mirror
 images onto the slab before one ``np.bincount``; ``radial_field`` puts a
 profile on the box with one value per shell, through the unfold that
 ``shell_project`` uses, so the radial potentials, the Gaussian seed and
-``lift_radial`` keep the 48 cube symmetries on every grid.
+``lift_radial`` keep the 48 cube symmetries on every grid;
+``haar_pairings`` forms the Fubini pairings of the Haar-average check on
+the slab, from the same per-shell means, without an n³ array.
 """
 
 from __future__ import annotations
@@ -111,15 +113,24 @@ def _shell_index(grid: Grid3D) -> tuple:
     return inverse, counts, radii
 
 
-def _shell_means(f: Field3D) -> np.ndarray:
-    """Mean of f over each exact shell: the four mirror images in x and y
-    are added onto the half-slab, then one bincount by shell id."""
+def _mirror_images(v: np.ndarray) -> tuple:
+    """The four x/y mirror images of a box array on the half-slab: strided
+    views, shape (n/2, n/2, n), in the order the folds add them."""
+    h = v.shape[0] // 2
+    return v[h:, h:], v[h - 1 :: -1, h:], v[h:, h - 1 :: -1], v[h - 1 :: -1, h - 1 :: -1]
+
+
+def _shell_means(f: Field3D, square: bool = False) -> np.ndarray:
+    """Mean of f, or of f² if ``square``, over each exact shell: the four
+    mirror images in x and y are added onto the half-slab, then one bincount
+    by shell id.  A squared image is squared as it is added, so the means of
+    a density u² need no n³ array and equal those of ``u.density()`` bit for
+    bit."""
     inverse, counts, _ = _shell_index(f.grid)
-    h = f.grid.n // 2
-    v = f.values
-    fold = v[h:, h:] + v[h - 1 :: -1, h:]
-    fold += v[h:, h - 1 :: -1]
-    fold += v[h - 1 :: -1, h - 1 :: -1]
+    first, *rest = _mirror_images(f.values)
+    fold = np.square(first) if square else first.copy()
+    for image in rest:
+        fold += np.square(image) if square else image
     return np.bincount(inverse.ravel(), weights=fold.ravel(), minlength=len(counts)) / counts
 
 
@@ -146,3 +157,24 @@ def shell_profile(f: Field3D) -> tuple:
     """(radii, shell means, counts) of the exact-shell reduction."""
     _, counts, radii = _shell_index(f.grid)
     return radii, _shell_means(f), counts
+
+
+def haar_pairings(u: Field3D, W: Field3D) -> tuple:
+    """(∫W·Pρ, ∫PW·ρ, ∫PW·Pρ) for ρ = u² and P the shell projection, on the
+    half-slab without an n³ temporary; u and W share one grid.
+
+    Pρ and PW are their shell means gathered onto the slab.  A pairing ∫f·Pg
+    is the sum over the four mirror images of the raw box values of f, each a
+    strided view, of the image dotted with the slab of Pg (ρ's images are
+    squared inside the dot); the third pairing is 4·⟨slab Pρ, slab PW⟩.  The
+    raw images, not the fold that formed the means, are what make the three
+    pairings independent: paired in shell space they agree for any counts.
+    """
+    inverse = _shell_index(u.grid)[0]
+    rho_slab = _shell_means(u, square=True)[inverse]
+    W_slab = _shell_means(W)[inverse]
+    a = sum(np.einsum("ijk,ijk->", w, rho_slab) for w in _mirror_images(W.values))
+    b = sum(np.einsum("ijk,ijk,ijk->", v, v, W_slab) for v in _mirror_images(u.values))
+    c = 4 * np.vdot(rho_slab, W_slab)
+    dv = u.grid.cell_volume
+    return float(a * dv), float(b * dv), float(c * dv)

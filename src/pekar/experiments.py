@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .angular import lift_radial, spherical_average
+from .angular import haar_pairings, lift_radial, spherical_average
 from .fields import Field3D, Grid3D, RadialGrid, normalize
 from .minimize import (
     MinimizerResult,
@@ -43,7 +43,7 @@ from .minimize import (
     solve_free,
     translate_seed,
 )
-from .potentials import PotentialSpec, mass_in_well, potential_energy, rotational_average
+from .potentials import PotentialSpec, mass_in_well, potential_energy
 from .spectral import ops_for
 
 
@@ -293,16 +293,16 @@ def rotational_density_check(u: Field3D, W: Field3D) -> tuple:
     """Fubini defects of the Haar-average pairing, (|∫⟨ρ⟩W - ∫ρ⟨W⟩|, |∫ρ⟨W⟩ - ∫⟨ρ⟩⟨W⟩|).
 
     With the exact shell projection both vanish to rounding; anything
-    larger flags a broken average.
+    larger flags a broken average.  The three pairings are formed on the
+    shell index's half-slab by ``angular.haar_pairings``: ⟨ρ⟩ and ⟨W⟩ are
+    per-shell means gathered onto the slab, and each unprojected field is
+    read through its four raw x/y mirror images, never through the fold
+    that formed the means, so a fault in the fold or in the shell counts
+    shows as a defect.  No n³ array is allocated.
     """
     if u.grid != W.grid:
         raise ValueError("wave function and potential live on different grids")
-    rho = u.density()
-    rho_avg = rotational_average(rho)
-    W_avg = rotational_average(W)
-    a = potential_energy(W, rho_avg)
-    b = potential_energy(W_avg, rho)
-    c = potential_energy(W_avg, rho_avg)
+    a, b, c = haar_pairings(u, W)
     return abs(a - b), abs(b - c)
 
 

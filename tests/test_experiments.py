@@ -15,7 +15,9 @@ from pekar import (
     fd_derivative,
     minimize,
     perturbed_energy,
+    potential_energy,
     rotation_orbit_evidence,
+    rotational_average,
     rotational_density_check,
     solve_free,
     sweep_R,
@@ -295,11 +297,11 @@ class TestRotationalDensityCheck:
         assert d1 <= 1e-6
 
     def test_grid_mismatch_rejected_before_projecting(self, grid32, monkeypatch):
-        import pekar.potentials as pot
+        import pekar.angular as ang
 
         calls = []
-        project = pot.shell_project
-        monkeypatch.setattr(pot, "shell_project", lambda f: calls.append(f) or project(f))
+        means = ang._shell_means
+        monkeypatch.setattr(ang, "_shell_means", lambda f, **kw: calls.append(f) or means(f, **kw))
         u = gaussian_psi(grid32, 1.0)
         rotational_density_check(u, Field3D(grid32, np.exp(-grid32.radius())))
         assert len(calls) == 2  # the counter sees the two averages of a valid call
@@ -308,6 +310,62 @@ class TestRotationalDensityCheck:
         with pytest.raises(ValueError, match="different grids"):
             rotational_density_check(u, Field3D(other, np.exp(-other.radius())))
         assert calls == []
+
+    @pytest.mark.parametrize("n, L", [(32, 16.0), (64, 24.0)])
+    def test_slab_pairings_are_the_box_pairings(self, n, L):
+        from pekar.angular import _shell_means, haar_pairings
+
+        grid = Grid3D(n, L)
+        u = gaussian_psi(grid, 1.0, center=(1.5, -0.5, 0.75))
+        rho = u.density()
+        assert np.array_equal(_shell_means(u, square=True), _shell_means(rho))
+        fields = [
+            PotentialSpec(kind="x1_squared").build(grid),
+            PotentialSpec(kind="radial_bump", center=5.0, width=2.0).build(grid),
+            Field3D(grid, np.full(grid.shape, 0.7)),
+            Field3D(grid, np.random.default_rng(n).standard_normal(grid.shape)),
+        ]
+        for W in fields:
+            rho_avg, W_avg = rotational_average(rho), rotational_average(W)
+            box = [
+                potential_energy(W, rho_avg),
+                potential_energy(W_avg, rho),
+                potential_energy(W_avg, rho_avg),
+            ]
+            tol = 1e-13 * max(abs(v) for v in box)
+            np.testing.assert_allclose(haar_pairings(u, W), box, rtol=0, atol=tol)
+
+    def _broken_check(self, grid32, monkeypatch, attr, fake):
+        import pekar.angular as ang
+
+        monkeypatch.setattr(ang, attr, fake)
+        u = gaussian_psi(grid32, 1.0, center=(1.5, -0.5, 0.75))
+        W = PotentialSpec(kind="radial_bump", center=3.0, width=2.0).build(grid32)
+        return rotational_density_check(u, W)
+
+    def test_fold_missing_a_mirror_image_is_flagged(self, grid32, monkeypatch):
+        import pekar.angular as ang
+
+        def three_images(f, square=False):
+            inverse, counts, _ = ang._shell_index(f.grid)
+            v = f.values**2 if square else f.values
+            fold = sum(ang._mirror_images(v)[:3])
+            return np.bincount(inverse.ravel(), weights=fold.ravel(), minlength=len(counts)) / counts
+
+        defects = self._broken_check(grid32, monkeypatch, "_shell_means", three_images)
+        assert max(defects) > 1e-4
+
+    def test_wrong_shell_counts_are_flagged(self, grid32, monkeypatch):
+        import pekar.angular as ang
+
+        index = ang._shell_index
+
+        def quarter_counts(grid):
+            inverse, counts, radii = index(grid)
+            return inverse, counts // 4, radii
+
+        defects = self._broken_check(grid32, monkeypatch, "_shell_index", quarter_counts)
+        assert max(defects) > 1e-4
 
 
 class TestOrbitEvidence:

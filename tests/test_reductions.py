@@ -184,22 +184,9 @@ class TestNoFullSizeTemporary:
         spec_pad = ops.fft_padded(rho)
         assert _traced_peak(ops.coulomb_energy, spec_pad)[1] < rho.nbytes
 
-    def test_rotational_density_check_pairings(self, pair, monkeypatch):
-        import pekar.experiments as exp
-
+    def test_rotational_density_check_pairings(self, pair):
         psi, f = pair
-        peaks = []
-        pairing = exp.potential_energy
-
-        def traced(V, rho):
-            value, peak = _traced_peak(pairing, V, rho)
-            peaks.append(peak)
-            return value
-
-        monkeypatch.setattr(exp, "potential_energy", traced)
-        rotational_density_check(psi, f)
-        assert len(peaks) == 3
-        assert max(peaks) < psi.values.nbytes
+        assert _traced_peak(rotational_density_check, psi, f)[1] < psi.values.nbytes
 
 
 def test_shell_index_built_on_the_half_slab():

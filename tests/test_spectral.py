@@ -382,9 +382,13 @@ class TestMirrorClasses:
         g = Grid3D(16, 10.0)
         full, ops = ops_for(g), ops_for(g, even)
         assert ops_for(g, even) is ops and ops.npad == full.npad == 32
-        # each entry is the full table's value at the same |k|² label
+        # slices by value: each entry is the full table's value at the same
+        # |k|² label; only the class (0,), a leading-axis slice, is a view of
+        # the full box's table, the other six are C-contiguous copies
         for mine, whole, m in ((ops.k2, full.k2, 16), (ops.wk, full.wk, 32)):
             assert not mine.flags.writeable
+            assert mine.flags.c_contiguous
+            assert np.shares_memory(mine, whole) == (even == (0,))
             assert np.isin(mine, whole).all()
             assert mine.shape == tuple(m // 2 if a in even else m // 2 + 1
                                        if a == max(set(range(3)) - set(even), default=None)
